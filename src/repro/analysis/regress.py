@@ -149,11 +149,12 @@ def collect_frontend_fingerprint(
     """Fingerprint of the reference run with the timed DRAM tier in front.
 
     Same system/workload/budget as :func:`collect_fingerprint` but with
-    ``front_end=dram`` (array-backed at paper defaults), so the pinned
-    metrics additionally carry the tier's hit/miss/fill/write-back
-    scoreboard.  This is the leg that holds the array tier — and the
-    batched epoch classification riding the on_epoch hook —
-    behaviourally frozen across revisions.
+    ``front_end=dram`` at paper defaults (LRU, so the array backend), so
+    the pinned metrics additionally carry the tier's
+    hit/miss/fill/write-back scoreboard.  This is the leg that holds the
+    array tier behaviourally frozen across revisions.  The reference run
+    is timing-only, so no epoch prefetch hook runs in it;
+    ``tests/sim/test_epoch_hooks.py`` covers that hook.
     """
     from repro.core.systems import make_front_end, make_rwow_rde
     from repro.sim.simulator import simulate

@@ -21,7 +21,6 @@ from repro.cache.replacement import (
 )
 from repro.cache.array_backend import ArraySetCache
 from repro.cache.set_assoc import (
-    CACHE_BACKENDS,
     CacheStats,
     Eviction,
     SetAssociativeCache,
@@ -50,7 +49,6 @@ __all__ = [
     "make_replacement_policy",
     "register_replacement_policy",
     "ArraySetCache",
-    "CACHE_BACKENDS",
     "CacheStats",
     "Eviction",
     "SetAssociativeCache",

@@ -16,12 +16,10 @@ residency (insertion) order — evicting way ``v`` shifts the tail left,
 installing appends at ``count`` — mirroring the object backend's per-set
 list exactly, so policy tie-breaks, CLOCK hand positions and eviction
 streams are bit-identical.  The scalar path needs only the ``array``
-module (the ``REPRO_NO_NUMPY`` fallback); when numpy is present the
-columns are additionally exposed as zero-copy ``np.frombuffer`` views
-and the batch entry points (:meth:`ArraySetCache.classify_batch`,
-:meth:`ArraySetCache.access_batch`) classify a whole epoch of accesses
-in a handful of vector operations, replaying only the sets that contain
-a miss through the scalar path so streams stay identical.
+module (the ``REPRO_NO_NUMPY`` fallback); when numpy is present the tag
+column is additionally exposed as a zero-copy ``np.frombuffer`` view so
+:meth:`ArraySetCache.classify_batch` can classify a whole epoch of
+addresses in a handful of vector operations.
 
 Construction goes through :func:`repro.cache.set_assoc.make_set_cache`,
 which falls back to the object backend for custom replacement policies
@@ -46,7 +44,7 @@ from repro.cache.set_assoc import CacheStats, Eviction
 from repro.ecc.batch import HAS_NUMPY, np
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
 
-#: Below this many accesses the vector path's array setup costs more
+#: Below this many addresses the vector path's array setup costs more
 #: than it saves; the scalar loop is bit-identical either way.
 BATCH_MIN_ACCESSES = 16
 
@@ -125,22 +123,17 @@ class ArraySetCache:
         self.stats = CacheStats()
 
         if HAS_NUMPY:
-            self._np_tags = np.frombuffer(self._tags, dtype=np.int64)
-            self._np_last_use = np.frombuffer(self._last_use, dtype=np.int64)
-            self._np_dirty = np.frombuffer(self._dirty, dtype=np.uint8)
-            self._np_policy = np.frombuffer(self._policy, dtype=np.int32)
             #: (n_sets, ways) view of the tag slab: one row-gather pulls
-            #: a whole set's candidate tags per access.
-            self._np_tags_2d = self._np_tags.reshape(self.n_sets, associativity)
+            #: a whole set's candidate tags per address.
+            self._np_tags_2d = np.frombuffer(
+                self._tags, dtype=np.int64
+            ).reshape(self.n_sets, associativity)
             #: When ways matches an unsigned dtype width, a per-row
             #: reinterpret of the bool match matrix replaces the (much
             #: slower) ``any(axis=1)`` reduction.
             self._row_dtype = {
                 1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64
             }.get(associativity)
-            self._bit_lut = np.uint8(1) << np.arange(
-                WORDS_PER_LINE, dtype=np.uint8
-            )
 
     # ------------------------------------------------------------------
     # Scalar lookups (array-module only; the REPRO_NO_NUMPY path)
@@ -199,22 +192,7 @@ class ArraySetCache:
     ) -> Tuple[bool, Optional[Eviction]]:
         """One load/store; semantics identical to the object backend."""
         self._clock += 1
-        return self._access_stamped(address, is_write, self._clock, value)
-
-    def _access_stamped(
-        self,
-        address: int,
-        is_write: bool,
-        stamp: int,
-        value: Optional[int] = None,
-    ) -> Tuple[bool, Optional[Eviction]]:
-        """:meth:`access` with the recency stamp supplied by the caller.
-
-        The batched path pre-assigns each access its stamp (the clock
-        advances once per access regardless of processing order), so
-        replayed miss-sets interleave exactly as the sequential loop
-        would have stamped them.
-        """
+        stamp = self._clock
         line = address // LINE_BYTES
         n_sets = self.n_sets
         set_index = line % n_sets
@@ -400,151 +378,26 @@ class ArraySetCache:
         return addresses
 
     # ------------------------------------------------------------------
-    # Batched entry points (vectorized when numpy is present)
+    # Batched classification (vectorized when numpy is present)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bool_vector(flags: Sequence[bool], n: int):
-        """Bool sequence -> bool vector, via the raw-bytes fast path."""
-        try:
-            return np.frombuffer(bytes(flags), dtype=np.bool_)
-        except (TypeError, ValueError):
-            return np.fromiter(
-                (bool(flag) for flag in flags), dtype=np.bool_, count=n
-            )
-
-    def _classify_vector(self, addrs):
-        """Vector hit test against current state.
-
-        Returns ``(hit, match, set_idx, base)`` where ``match`` is the
-        (n, ways) per-way tag-match matrix.  Non-resident slots hold the
-        -1 tag sentinel, so the raw equality test is the residency test
-        — no per-way count mask, which keeps this at a handful of
-        fixed-cost numpy ops per epoch.
-        """
-        lines = addrs // LINE_BYTES
-        tags, set_idx = np.divmod(lines, self.n_sets)
-        base = set_idx * self.associativity
-        cand = self._np_tags_2d.take(set_idx, axis=0, mode="clip")
-        match = cand == tags[:, None]
-        if self._row_dtype is not None:
-            hit = match.view(self._row_dtype).ravel() != 0
-        else:
-            hit = match.any(axis=1)
-        return hit, match, set_idx, base
-
     def classify_batch(self, addresses: Sequence[int]) -> List[bool]:
         """Advisory hit/miss classification of a batch (read-only).
 
         One vectorized pass when numpy is present; no stats, clock or
         state are touched, so the classification is safe to use for
         steering (prefetch) while the real probes still run per event.
+        Non-resident slots hold the -1 tag sentinel, so the raw tag
+        equality test is the residency test — no per-way count mask.
         """
         n = len(addresses)
         if not HAS_NUMPY or n < BATCH_MIN_ACCESSES:
             return [self.contains(a) for a in addresses]
-        addrs = np.fromiter(addresses, dtype=np.int64, count=n)
-        hit, _, _, _ = self._classify_vector(addrs)
+        lines = np.fromiter(addresses, dtype=np.int64, count=n) // LINE_BYTES
+        tags, set_idx = np.divmod(lines, self.n_sets)
+        cand = self._np_tags_2d.take(set_idx, axis=0, mode="clip")
+        match = cand == tags[:, None]
+        if self._row_dtype is not None:
+            hit = match.view(self._row_dtype).ravel() != 0
+        else:
+            hit = match.any(axis=1)
         return hit.tolist()
-
-    def access_batch(
-        self,
-        addresses: Sequence[int],
-        writes: Sequence[bool],
-        values: Optional[Sequence[Optional[int]]] = None,
-    ) -> Tuple[List[bool], List[Optional[Eviction]]]:
-        """Run a batch of accesses, bit-identical to the scalar loop.
-
-        Hits never change residency, so any set whose batch slice is
-        all-hits can be applied in one vectorized pass: ``last_use``
-        takes each line's final stamp (stamps are pre-assigned — the
-        clock advances once per access no matter the order), CLOCK
-        reference bits set idempotently, MAC levels accumulate then
-        saturate, dirty masks OR.  Every set containing at least one
-        candidate miss is replayed through the scalar path in original
-        stream order with the same pre-assigned stamps; sets are
-        independent, so the interleaving cannot be observed.  Returns
-        per-access ``(hits, evictions)`` aligned with the input.
-        """
-        n = len(addresses)
-        scalar = (
-            not HAS_NUMPY
-            or n < BATCH_MIN_ACCESSES
-            or (self._words is not None and values is not None)
-        )
-        if scalar:
-            hits: List[bool] = []
-            evictions: List[Optional[Eviction]] = []
-            for i in range(n):
-                value = values[i] if values is not None else None
-                hit, evicted = self.access(addresses[i], writes[i], value)
-                hits.append(hit)
-                evictions.append(evicted)
-            return hits, evictions
-
-        clock0 = self._clock
-        addrs = np.asarray(addresses, dtype=np.int64)
-        hit, match, set_idx, base = self._classify_vector(addrs)
-        stamps = np.arange(clock0 + 1, clock0 + n + 1, dtype=np.int64)
-        out_evictions: List[Optional[Eviction]] = [None] * n
-        hit_code = self._hit_code
-
-        if hit.all():
-            # All-hit epoch — the warm-tier common case, and the one the
-            # per-access perf floor is measured on: one vectorized apply,
-            # no replay, no per-access Python work.
-            gidx = base + match.argmax(axis=1)
-            np.maximum.at(self._np_last_use, gidx, stamps)
-            if hit_code == HIT_CLOCK:
-                self._np_policy[gidx] = 1
-            elif hit_code == HIT_MAC:
-                np.add.at(self._np_policy, gidx, 1)
-                self._np_policy[gidx] = np.minimum(
-                    self._np_policy[gidx], self._mac_top
-                )
-            is_write = self._bool_vector(writes, n)
-            if is_write.any():
-                waddrs = addrs[is_write]
-                bits = self._bit_lut[
-                    (waddrs % LINE_BYTES) // (LINE_BYTES // WORDS_PER_LINE)
-                ]
-                np.bitwise_or.at(self._np_dirty, gidx[is_write], bits)
-            self.stats.hits += n
-            self._clock = clock0 + n
-            return [True] * n, out_evictions
-
-        is_write = self._bool_vector(writes, n)
-        miss_sets = np.unique(set_idx[~hit])
-        replay = np.isin(set_idx, miss_sets)
-        pure = ~replay
-        out_hits: List[bool] = hit.tolist()
-
-        if pure.any():
-            gidx = (base + match.argmax(axis=1))[pure]
-            np.maximum.at(self._np_last_use, gidx, stamps[pure])
-            if hit_code == HIT_CLOCK:
-                self._np_policy[gidx] = 1
-            elif hit_code == HIT_MAC:
-                # Accumulate per-duplicate then clamp: min(x0 + k, top)
-                # equals k stepwise saturating increments.
-                np.add.at(self._np_policy, gidx, 1)
-                self._np_policy[gidx] = np.minimum(
-                    self._np_policy[gidx], self._mac_top
-                )
-            pure_writes = pure & is_write
-            if pure_writes.any():
-                bits = (
-                    np.uint8(1) << ((addrs % LINE_BYTES) // 8).astype(np.uint8)
-                )
-                widx = (base + match.argmax(axis=1))[pure_writes]
-                np.bitwise_or.at(self._np_dirty, widx, bits[pure_writes])
-            self.stats.hits += int(pure.sum())
-
-        for i in np.nonzero(replay)[0]:
-            i = int(i)
-            replay_hit, evicted = self._access_stamped(
-                addresses[i], writes[i], int(stamps[i])
-            )
-            out_hits[i] = replay_hit
-            out_evictions[i] = evicted
-        self._clock = clock0 + n
-        return out_hits, out_evictions

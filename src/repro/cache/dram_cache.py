@@ -58,7 +58,6 @@ class DramCache:
         config: Optional[DramCacheConfig] = None,
         track_words: bool = False,
         policy: Union[str, ReplacementPolicy, None] = None,
-        backend: str = "auto",
     ):
         self.config = config or DramCacheConfig()
         self.cache = make_set_cache(
@@ -67,7 +66,6 @@ class DramCache:
             name="dram-cache",
             track_words=track_words,
             policy=policy,
-            backend=backend,
         )
         #: Dirty evictions produced so far (the PCM write-back stream).
         self.write_backs: int = 0

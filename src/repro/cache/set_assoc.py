@@ -256,73 +256,38 @@ class SetAssociativeCache:
         return addresses
 
     # ------------------------------------------------------------------
-    # Batch entry points (scalar here; vectorized on the array backend)
+    # Batch classification (scalar here; vectorized on the array backend)
     # ------------------------------------------------------------------
     def classify_batch(self, addresses: List[int]) -> List[bool]:
         """Advisory hit/miss classification (read-only, no bookkeeping)."""
         return [self.contains(address) for address in addresses]
 
-    def access_batch(
-        self,
-        addresses: List[int],
-        writes: List[bool],
-        values: Optional[List[Optional[int]]] = None,
-    ) -> Tuple[List[bool], List[Optional[Eviction]]]:
-        """Run a batch of accesses; per-access (hits, evictions) aligned
-        with the input — definitionally the scalar loop."""
-        hits: List[bool] = []
-        evictions: List[Optional[Eviction]] = []
-        for i, address in enumerate(addresses):
-            value = values[i] if values is not None else None
-            hit, evicted = self.access(address, writes[i], value)
-            hits.append(hit)
-            evictions.append(evicted)
-        return hits, evictions
-
 
 # ======================================================================
 # Backend selection
 # ======================================================================
-#: Recognised backend specs for :func:`make_set_cache`.
-CACHE_BACKENDS = ("auto", "array", "object")
-
-
 def make_set_cache(
     size_bytes: int,
     associativity: int,
     name: str = "cache",
     track_words: bool = False,
     policy: Union[str, ReplacementPolicy, None] = None,
-    backend: str = "auto",
 ):
-    """Build a set-associative cache, choosing the storage backend.
+    """Build a set-associative cache, picking the backend from the policy.
 
-    ``"array"`` is the columnar backend
-    (:class:`~repro.cache.array_backend.ArraySetCache`): flat
+    The columnar :class:`~repro.cache.array_backend.ArraySetCache` (flat
     tag/recency/dirty/policy columns, index-arithmetic probes, batched
-    classification — the only practical representation at Table I's
-    256 MB scale.  ``"object"`` is the historical per-line
-    :class:`CacheLine` representation.  ``"auto"`` (the default) picks
-    the array backend whenever the resolved replacement policy is one
-    of the three builtins it mirrors bit-identically, and falls back to
-    the object backend for custom registered policies.  Direct
+    classification) serves every policy that
+    :func:`~repro.cache.replacement.array_policy_ops` mirrors — the
+    three builtins, bit-identically.  Custom or subclassed policies get
+    the historical per-line :class:`CacheLine` representation.  Direct
     ``SetAssociativeCache(...)`` construction remains object-backed.
     """
-    if backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; "
-            f"expected one of {CACHE_BACKENDS}"
-        )
-    if backend == "object":
-        return SetAssociativeCache(
-            size_bytes, associativity, name=name,
-            track_words=track_words, policy=policy,
-        )
     from repro.cache.array_backend import ArraySetCache
     from repro.cache.replacement import array_policy_ops
 
     resolved = make_replacement_policy(policy)
-    if backend == "auto" and array_policy_ops(resolved) is None:
+    if array_policy_ops(resolved) is None:
         return SetAssociativeCache(
             size_bytes, associativity, name=name,
             track_words=track_words, policy=resolved,

@@ -91,11 +91,14 @@ from repro.trace.workloads import ALL_WORKLOADS, get_workload
 
 def _front_end(args: argparse.Namespace):
     """Front-end config from the common CLI flags (default: direct path)."""
-    return make_front_end(
-        kind=getattr(args, "front_end", "none"),
-        replacement=getattr(args, "replacement", "lru"),
-        capacity_mb=getattr(args, "frontend_mb", None),
-    )
+    try:
+        return make_front_end(
+            kind=getattr(args, "front_end", "none"),
+            replacement=getattr(args, "replacement", "lru"),
+            capacity_mb=getattr(args, "frontend_mb", None),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}") from None
 
 
 def _params(args: argparse.Namespace) -> SimulationParams:
@@ -744,14 +747,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replacement",
                        choices=REPLACEMENT_POLICY_NAMES, default="lru",
                        help="front-end replacement policy "
-                            "(only meaningful with --front-end dram)")
+                            "(requires --front-end dram)")
         p.add_argument("--frontend-mb", dest="frontend_mb",
                        type=float, default=None, metavar="MB",
                        help="front-end tier capacity in MiB (e.g. 256 "
                             "for the paper-scale Table I tier; default: "
                             "the tier's built-in 256 MB). Sets/ways are "
-                            "derived and validated from the size. Only "
-                            "meaningful with --front-end dram; distinct "
+                            "derived and validated from the size. "
+                            "Requires --front-end dram; distinct "
                             "sizes hash to distinct sweep-cache keys.")
 
     run_p = sub.add_parser("run", help="one workload on one system")

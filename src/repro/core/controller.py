@@ -49,10 +49,6 @@ class PCMapController(MemoryController):
         self.status_registers = [
             DimmStatusRegister(rank, self.timing) for rank in self.ranks
         ]
-        #: ``(state, earliest)`` memo of a failed candidate scan; valid
-        #: while the summed version counters still match (see
-        #: ``select_write_candidate``).
-        self._candidate_scan_memo: Optional[tuple] = None
         return super()._build_policy_chain()
 
     @property
@@ -76,23 +72,6 @@ class PCMapController(MemoryController):
         if fine.inflight >= self.config.max_inflight_writes:
             return None  # completions will re-kick
         ranks = self.ranks
-        # Whole-scan memo: every input of the scan (queue membership,
-        # chip reservations, engine-token holds) bumps a monotonic
-        # counter, so an unchanged sum means an identical scan.  A failed
-        # scan that found nothing ready before ``earliest`` therefore
-        # stays failed while ``now`` has not reached it — the wake-up
-        # armed here is the same one the full rescan would arm.
-        state = self.write_q.version + fine.version
-        for r in ranks:
-            state += r.version
-        memo = self._candidate_scan_memo
-        if memo is not None and memo[0] == state:
-            earliest = memo[1]
-            if earliest is None:
-                return None
-            if earliest > now:
-                self._note_wake(earliest)
-                return None
         head: Optional[MemoryRequest] = None
         decoded = None
         earliest: Optional[int] = None
@@ -150,7 +129,6 @@ class PCMapController(MemoryController):
             if earliest is None or ready < earliest:
                 earliest = ready
         if head is None or decoded is None:
-            self._candidate_scan_memo = (state, earliest)
             if earliest is not None:
                 self._note_wake(earliest)
             return None

@@ -60,8 +60,6 @@ class FineWriteEngine:
         self.inflight = 0
         #: Engine-token free times, keyed by rank (or (rank, bank)).
         self._free: dict = {}
-        #: Bumped whenever a token reservation changes (scan-memo input).
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Write-engine token
@@ -82,7 +80,6 @@ class FineWriteEngine:
         token = self._token(decoded)
         if until > self._free.get(token, 0):
             self._free[token] = until
-            self.version += 1
 
     @property
     def budget_left(self) -> int:

@@ -158,10 +158,11 @@ def make_front_end(
     and the set/way geometry is validated by
     :class:`~repro.cache.dram_cache.DramCacheConfig` — the size must
     yield at least one whole set of 64-byte lines.  Keyword overrides
-    forward to :class:`FrontEndConfig` (``mshrs``, ``writeback_buffer``,
-    ``backend``) or, via ``dram_overrides`` semantics below, to the
-    embedded :class:`DramCacheConfig` (``size_bytes``,
-    ``associativity``, ``access_cycles``).
+    forward to :class:`FrontEndConfig` (``mshrs``,
+    ``writeback_buffer``) or, via ``dram_overrides`` semantics below, to
+    the embedded :class:`DramCacheConfig` (``size_bytes``,
+    ``associativity``, ``access_cycles``).  With ``kind="none"`` every
+    tier setting must keep its default (see :class:`FrontEndConfig`).
     """
     if kind not in FRONT_END_NAMES:
         raise ValueError(

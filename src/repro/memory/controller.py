@@ -109,9 +109,6 @@ class MemoryController:
         self.drain = False
         self._wake_handle = None
         self._wake_time: Optional[int] = None
-        #: ``(state, earliest_future)`` memo of a failed read scan; valid
-        #: while the read queue and rank reservations are unchanged.
-        self._read_scan_memo: Optional[Tuple[int, int]] = None
         self._open_windows: List[WriteWindow] = []
         self._in_kick = False
         #: Optional observer called with each read request right after it
@@ -352,17 +349,6 @@ class MemoryController:
     def _try_issue_read(self, now: int) -> bool:
         """FR-FCFS over the read queue; returns True if a read was issued."""
         ranks = self.ranks
-        # Whole-scan memo (see ``select_write_candidate``): a failed scan
-        # stays failed while the read queue and every rank reservation
-        # counter are unchanged and ``now`` has not reached the earliest
-        # ready time it computed.
-        state = self.read_q.version
-        for r in ranks:
-            state += r.version
-        memo = self._read_scan_memo
-        if memo is not None and memo[0] == state and memo[1] > now:
-            self._note_wake(memo[1])
-            return False
         best: Optional[MemoryRequest] = None
         best_hit = False
         earliest_future: Optional[int] = None
@@ -392,7 +378,6 @@ class MemoryController:
                     break  # row hit + oldest-first: good enough
         if best is None:
             if earliest_future is not None:
-                self._read_scan_memo = (state, earliest_future)
                 self._note_wake(earliest_future)
             return False
         self._issue_read(best, now)

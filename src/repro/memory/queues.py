@@ -30,9 +30,6 @@ class RequestQueue:
         self._space_waiters: List[Callable[[], None]] = []
         #: Peak occupancy seen (for reporting).
         self.high_water = 0
-        #: Bumped on every push/remove; scheduler scan memos sum this
-        #: with the rank versions to detect "nothing changed" rescans.
-        self.version = 0
         # Optional telemetry instruments (attach_metrics); one is-None
         # check per push/remove when unattached.
         self._depth_gauge = None
@@ -78,7 +75,6 @@ class RequestQueue:
                 self._reject_counter.inc()
             return False
         self._entries.append(request)
-        self.version += 1
         if len(self._entries) > self.high_water:
             self.high_water = len(self._entries)
         if self._depth_gauge is not None:
@@ -94,7 +90,6 @@ class RequestQueue:
     def remove(self, request: MemoryRequest) -> None:
         """Remove a specific entry (used when a request is issued)."""
         self._entries.remove(request)
-        self.version += 1
         if self._depth_gauge is not None:
             self._depth_gauge.set(len(self._entries))
         self._notify_space()
@@ -191,15 +186,13 @@ class WriteQueue(RequestQueue):
     def note_issued(self, request: MemoryRequest) -> None:
         """Drop ``request`` from the pending FIFO once it starts service.
 
-        Bumps ``version`` so candidate-scan memos keyed on queue state
-        are invalidated along with the membership change.  Requests that
-        never entered the queue (synthesised code updates) are a no-op.
+        Requests that never entered the queue (synthesised code updates)
+        are a no-op.
         """
         try:
             self._pending.remove(request)
         except ValueError:
-            return
-        self.version += 1
+            pass
 
     @property
     def pending(self) -> List[MemoryRequest]:

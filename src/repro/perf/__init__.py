@@ -2,9 +2,7 @@
 
 The suite times the layers the hot-path optimisation work targets — the
 SECDED codec (scalar and vectorized batch), the functional backing
-store, the array-backed front-end tier (batched epochs vs the object
-access loop), the event-engine dispatch loop, the synthetic trace
-generator,
+store, the event-engine dispatch loop, the synthetic trace generator,
 one end-to-end ``rwow-rde`` run, and the time-series sampler's
 overhead on that run — and emits a seed- and git-stamped
 ``BENCH_perf.json`` (including the regression sentinel's pinned
@@ -24,7 +22,6 @@ from repro.perf.suites import (
     bench_codec,
     bench_end_to_end,
     bench_engine_dispatch,
-    bench_frontend_access,
     bench_storage,
     bench_timeseries,
     bench_trace_gen,
@@ -43,7 +40,6 @@ __all__ = [
     "bench_codec",
     "bench_end_to_end",
     "bench_engine_dispatch",
-    "bench_frontend_access",
     "bench_storage",
     "bench_timeseries",
     "bench_trace_gen",

@@ -197,111 +197,6 @@ def bench_batch_codec(seed: int, smoke: bool = False) -> BenchReport:
 
 
 # ----------------------------------------------------------------------
-# Front-end tier: array-backed batched epochs vs the object access loop
-# ----------------------------------------------------------------------
-def bench_frontend_access(seed: int, smoke: bool = False) -> BenchReport:
-    """Warm-tier access cost at paper scale, object loop vs array epochs.
-
-    Builds the set-associative tier twice — once on the historical
-    dict-of-CacheLine backend, once on the columnar array backend —
-    warms both with the same working set, then streams identical
-    hit-heavy accesses through each: per-access :meth:`access` calls on
-    the object backend, :data:`~repro.cpu.multicore.ON_EPOCH_BATCH`-
-    sized :meth:`access_batch` epochs on the array backend (the same
-    windowing the simulator's on_epoch hook sees).  The equivalence
-    suite holds the two backends bit-identical, so ``batch_vs_object``
-    is a pure mechanism ratio, machine independent, and gated (>=5x) in
-    :func:`check_payload` on numpy builds.  Full budgets use the
-    paper's 256 MB Table I geometry; smoke shrinks the tier to 16 MB to
-    keep allocation light.
-    """
-    from repro.cache.set_assoc import make_set_cache
-    from repro.cpu.multicore import ON_EPOCH_BATCH
-    from repro.ecc.batch import HAS_NUMPY
-
-    capacity_mb = 16 if smoke else 256
-    size_bytes = capacity_mb * 1024 * 1024
-    ways = 8
-    epoch = ON_EPOCH_BATCH
-    n_lines = 2_048 if smoke else 8_192
-    n_accesses = 8_192 if smoke else 32_768
-    repeats = _repeats(smoke)
-
-    n_sets = size_bytes // (64 * ways)
-    rng = random.Random(seed * 6121 + 29)
-    # All ways of each sampled set resident: the warm stream stays
-    # eviction free (every timed access is a hit, repeats do identical
-    # work) while tag scans see realistic full-set depth.
-    lines = [
-        (tag * n_sets + set_index) * 64
-        for set_index in rng.sample(range(n_sets), n_lines // ways)
-        for tag in range(ways)
-    ]
-    addresses = rng.choices(lines, k=n_accesses)
-    writes = [rng.random() < 0.3 for _ in range(n_accesses)]
-    pairs = list(zip(addresses, writes))
-    chunks = [
-        (addresses[i:i + epoch], writes[i:i + epoch])
-        for i in range(0, n_accesses, epoch)
-    ]
-
-    obj = make_set_cache(size_bytes, ways, name="fe-object", backend="object")
-    arr = make_set_cache(size_bytes, ways, name="fe-array", backend="array")
-    obj_warm = [obj.access(address, False)[0] for address in lines]
-    arr_warm, _ = arr.access_batch(lines, [False] * n_lines)
-    # Untimed verification pass: the stream must be all-hits and the
-    # backends must agree, or the timing compares different work.
-    for address, is_write in pairs:
-        obj.access(address, is_write)
-    for chunk_addresses, chunk_writes in chunks:
-        arr.access_batch(chunk_addresses, chunk_writes)
-    if any(obj_warm) or any(arr_warm) or not (
-        obj.stats.hits == arr.stats.hits == n_accesses
-        and obj.stats.misses == arr.stats.misses == n_lines
-    ):
-        raise RuntimeError(
-            "frontend_access backends diverged: "
-            f"object {obj.stats.hits}/{obj.stats.misses} vs "
-            f"array {arr.stats.hits}/{arr.stats.misses} hits/misses"
-        )
-
-    def run_object() -> None:
-        access = obj.access
-        for address, is_write in pairs:
-            access(address, is_write)
-
-    scale = 1e6 / n_accesses
-    metrics: Dict[str, float] = {
-        "object_access_us": time_call(run_object, repeats) * scale,
-    }
-    if HAS_NUMPY:
-
-        def run_batch() -> None:
-            access_batch = arr.access_batch
-            for chunk_addresses, chunk_writes in chunks:
-                access_batch(chunk_addresses, chunk_writes)
-
-        metrics["batch_access_us"] = time_call(run_batch, repeats) * scale
-        metrics["batch_vs_object"] = (
-            metrics["object_access_us"] / metrics["batch_access_us"]
-        )
-    return BenchReport(
-        name="frontend_access",
-        config={
-            "capacity_mb": capacity_mb,
-            "associativity": ways,
-            "epoch": epoch,
-            "working_set_lines": n_lines,
-            "accesses": n_accesses,
-            "seed": seed,
-            "repeats": repeats,
-            "numpy": HAS_NUMPY,
-        },
-        metrics=metrics,
-    )
-
-
-# ----------------------------------------------------------------------
 # Storage: cold-line materialisation, differential writes, diff masks
 # ----------------------------------------------------------------------
 def bench_storage(seed: int, smoke: bool = False) -> BenchReport:
@@ -450,7 +345,7 @@ def bench_engine_dispatch(seed: int, smoke: bool = False) -> BenchReport:
 
 
 # ----------------------------------------------------------------------
-# End to end: one full rwow-rde functional run
+# End to end: one full rwow-rde timing-only run
 # ----------------------------------------------------------------------
 def bench_end_to_end(seed: int, smoke: bool = False) -> BenchReport:
     """One complete rwow-rde/canneal simulation, wall-clocked.
@@ -557,7 +452,7 @@ TIMESERIES_OVERHEAD_CEILING = 1.15
 # Suite assembly
 # ----------------------------------------------------------------------
 def run_suite(seed: int = 7, smoke: bool = False) -> dict:
-    """Run all eight benchmarks; returns the ``BENCH_perf.json`` payload."""
+    """Run all seven benchmarks; returns the ``BENCH_perf.json`` payload."""
     from repro.analysis.regress import (
         collect_fingerprint,
         collect_frontend_fingerprint,
@@ -567,7 +462,6 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
     reports = [
         bench_codec(seed, smoke),
         bench_batch_codec(seed, smoke),
-        bench_frontend_access(seed, smoke),
         bench_storage(seed, smoke),
         bench_engine_dispatch(seed, smoke),
         bench_trace_gen(seed, smoke),
@@ -604,11 +498,6 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
         )
         speedups["batch_codec.decode_vs_scalar"] = (
             batch_metrics["decode_vs_scalar"]
-        )
-    frontend_metrics = by_name["frontend_access"].metrics
-    if "batch_vs_object" in frontend_metrics:
-        speedups["frontend_access.batch_vs_object"] = (
-            frontend_metrics["batch_vs_object"]
         )
     if not smoke:
         # Machine-bound ratios against the committed pre-optimisation
@@ -716,25 +605,6 @@ def check_payload(payload: dict) -> List[str]:
                         f"batch_codec.{key} = {ratio:.2f}x, below the 5x "
                         "vectorization floor"
                     )
-        if report.get("name") == "frontend_access" and report.get(
-            "config", {}
-        ).get("numpy"):
-            # The array tier's headline contract: batched epochs through
-            # the columnar backend cost >=5x less per access than the
-            # object loop whenever numpy is present.  Same-process,
-            # same-stream ratio, so the gate is machine independent;
-            # measured values sit near ~10x at the 256 MB geometry.
-            ratio = report.get("metrics", {}).get("batch_vs_object")
-            if ratio is None:
-                failures.append(
-                    "frontend_access missing metric 'batch_vs_object' on "
-                    "a numpy build"
-                )
-            elif ratio < 5.0:
-                failures.append(
-                    f"frontend_access.batch_vs_object = {ratio:.2f}x, "
-                    "below the 5x array-tier floor"
-                )
         if report.get("name") == "timeseries" and not payload.get("smoke"):
             ratio = report.get("metrics", {}).get("overhead_ratio")
             if ratio is not None and ratio > TIMESERIES_OVERHEAD_CEILING:

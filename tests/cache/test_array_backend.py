@@ -3,12 +3,8 @@
 import pytest
 
 from repro.cache.array_backend import BATCH_MIN_ACCESSES, ArraySetCache
-from repro.cache.replacement import ReplacementPolicy, register_replacement_policy
-from repro.cache.set_assoc import (
-    CACHE_BACKENDS,
-    SetAssociativeCache,
-    make_set_cache,
-)
+from repro.cache.replacement import ReplacementPolicy
+from repro.cache.set_assoc import SetAssociativeCache, make_set_cache
 
 LINE = 64
 
@@ -136,18 +132,8 @@ def test_dirty_lines_matches_object_backend_drain_order():
 
 
 # ----------------------------------------------------------------------
-# Scalar fallback and functional payloads
+# Functional payloads
 # ----------------------------------------------------------------------
-def test_access_batch_small_batches_take_scalar_path():
-    cache = _small_cache(sets=2, assoc=2)
-    addresses = [0, LINE, 0]
-    assert len(addresses) < BATCH_MIN_ACCESSES
-    hits, evictions = cache.access_batch(addresses, [False, True, True])
-    assert hits == [False, False, True]
-    assert evictions == [None, None, None]
-    assert cache.stats.hits == 1 and cache.stats.misses == 2
-
-
 def test_track_words_stores_values_and_validates():
     cache = _small_cache(sets=1, assoc=2, track_words=True)
     cache.access(0 + 8 * 3, is_write=True, value=0xDEAD)
@@ -200,29 +186,6 @@ def test_factory_auto_falls_back_to_object_for_custom_policy():
 
     cache = make_set_cache(LINE * 16, 4, policy=Custom())
     assert isinstance(cache, SetAssociativeCache)
-
-
-def test_factory_array_with_custom_policy_raises():
-    class Custom(ReplacementPolicy):
-        def on_fill(self, line, tick):
-            return 0
-
-        def on_hit(self, line, tick):
-            return None
-
-        def victim(self, lines, tick):
-            return 0
-
-    with pytest.raises(ValueError, match="no array mirror"):
-        make_set_cache(LINE * 16, 4, policy=Custom(), backend="array")
-
-
-def test_factory_object_forced_and_bad_backend_rejected():
-    cache = make_set_cache(LINE * 16, 4, backend="object")
-    assert isinstance(cache, SetAssociativeCache)
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        make_set_cache(LINE * 16, 4, backend="rowmajor")
-    assert CACHE_BACKENDS == ("auto", "array", "object")
 
 
 def test_factory_lru_subclass_falls_back_to_object():

@@ -76,37 +76,6 @@ def test_access_streams_are_bit_identical(policy, stream):
     assert arr.resident_lines() == obj.resident_lines()
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-@settings(max_examples=25, deadline=None)
-@given(stream=accesses, chunk=st.integers(1, 64))
-def test_chunked_access_batch_matches_object_loop(policy, stream, chunk):
-    """The batch entry point (vector path included) equals the scalar
-    loop no matter how the stream is chunked into epochs."""
-    obj, arr = _pair(policy)
-    addresses = [line * LINE for line, _ in stream]
-    writes = [is_write for _, is_write in stream]
-    obj_hits, obj_evs = [], []
-    for address, is_write in zip(addresses, writes):
-        hit, ev = obj.access(address, is_write)
-        obj_hits.append(hit)
-        obj_evs.append(ev)
-    arr_hits, arr_evs = [], []
-    for start in range(0, len(addresses), chunk):
-        hits, evs = arr.access_batch(
-            addresses[start:start + chunk], writes[start:start + chunk]
-        )
-        arr_hits.extend(hits)
-        arr_evs.extend(evs)
-    assert arr_hits == obj_hits
-    assert [
-        (ev.address, ev.dirty_mask) if ev else None for ev in arr_evs
-    ] == [
-        (ev.address, ev.dirty_mask) if ev else None for ev in obj_evs
-    ]
-    _assert_same_stats(obj, arr)
-    assert arr.dirty_lines() == obj.dirty_lines()
-
-
 #: One mixed operation: (op_code, line, mask_or_write).
 mixed_ops = st.lists(
     st.tuples(
@@ -200,14 +169,9 @@ _NO_NUMPY_PROBE = textwrap.dedent(
         assert arr.dirty_lines() == obj.dirty_lines()
         assert arr.stats.hits == obj.stats.hits
         assert arr.stats.misses == obj.stats.misses
-        # access_batch must fall back to the scalar loop, identically.
-        obj2 = SetAssociativeCache(LINE * 8, 2, policy=policy)
-        arr2 = ArraySetCache(LINE * 8, 2, policy=policy)
-        addresses = [a for a, _ in stream]
-        writes = [w for _, w in stream]
-        expect = [obj2.access(a, w)[0] for a, w in stream]
-        hits, _ = arr2.access_batch(addresses, writes)
-        assert hits == expect
+        # classify_batch must fall back to the scalar loop, identically.
+        probe = [line * LINE for line in range(24)]
+        assert arr.classify_batch(probe) == obj.classify_batch(probe)
     print("SCALAR-EQUIV-OK")
     """
 )

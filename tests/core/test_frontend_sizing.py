@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core.systems import make_front_end
 from repro.sim.runner.jobs import SweepJob
 from repro.sim.simulator import SimulationParams
@@ -41,6 +41,36 @@ def test_cli_parses_frontend_mb():
          "--front-end", "dram", "--frontend-mb", "64"]
     )
     assert args.frontend_mb == 64.0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"capacity_mb": 64},
+    {"replacement": "clock"},
+    {"mshrs": 4},
+    {"associativity": 4},
+])
+def test_tier_settings_rejected_on_the_direct_path(overrides):
+    """Settings for a tier that is not built would be ignored yet still
+    split the sweep cache; they fail loudly instead."""
+    with pytest.raises(ValueError, match="no effect on the direct path"):
+        make_front_end("none", **overrides)
+
+
+def test_direct_path_accepts_explicit_defaults():
+    assert make_front_end("none", replacement="lru", capacity_mb=256) == (
+        make_front_end("none")
+    )
+
+
+@pytest.mark.parametrize("flags", [
+    ["--frontend-mb", "64"],
+    ["--replacement", "clock"],
+])
+def test_cli_rejects_tier_flags_without_a_tier(flags):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--workload", "MP3", "--requests", "50", *flags])
+    assert excinfo.value.code not in (0, None)
+    assert "no effect on the direct path" in str(excinfo.value.code)
 
 
 def _job(capacity_mb):

@@ -26,7 +26,7 @@ TOP_LEVEL_KEYS = {
 }
 
 BENCHMARK_NAMES = [
-    "codec", "batch_codec", "frontend_access", "storage", "engine",
+    "codec", "batch_codec", "storage", "engine",
     "trace_gen", "end_to_end", "timeseries",
 ]
 
@@ -97,16 +97,6 @@ def test_perf_payload_schema(capsys):
     else:
         assert "encode_vs_scalar" not in batch_codec["metrics"]
         assert "batch_codec.encode_vs_scalar" not in payload["speedups"]
-    # Same contract for the array-tier report: the gated ratio exists
-    # exactly on numpy builds.
-    frontend_access = by_name["frontend_access"]
-    assert frontend_access["config"]["numpy"] is batch.HAS_NUMPY
-    if batch.HAS_NUMPY:
-        assert frontend_access["metrics"]["batch_vs_object"] > 0
-        assert "frontend_access.batch_vs_object" in payload["speedups"]
-    else:
-        assert "batch_vs_object" not in frontend_access["metrics"]
-        assert "frontend_access.batch_vs_object" not in payload["speedups"]
     # Smoke budgets never mix with the full-budget pre-PR/PR6 ratios.
     assert all("vs_pre_pr" not in key for key in payload["speedups"])
     assert all("vs_pr6" not in key for key in payload["speedups"])
@@ -176,36 +166,6 @@ def test_check_payload_gates_batch_codec_on_numpy_builds():
         "name": "batch_codec",
         "config": {"numpy": False},
         "metrics": {"scalar_encode_us": 1.0, "scalar_decode_us": 3.0},
-    }])
-    assert check_payload(scalar) == []
-
-
-def test_check_payload_gates_frontend_access_on_numpy_builds():
-    base = {
-        "speedups": {
-            "codec.encode_vs_reference": 2.0,
-            "codec.decode_vs_reference": 5.0,
-        },
-    }
-    slow = dict(base, benchmarks=[{
-        "name": "frontend_access",
-        "config": {"numpy": True},
-        "metrics": {"batch_vs_object": 2.0},
-    }])
-    assert any(
-        "5x array-tier floor" in f for f in check_payload(slow)
-    )
-    missing = dict(base, benchmarks=[{
-        "name": "frontend_access",
-        "config": {"numpy": True},
-        "metrics": {"object_access_us": 1.0},
-    }])
-    assert any("batch_vs_object" in f for f in check_payload(missing))
-    # Scalar-only builds carry no ratio and are never gated.
-    scalar = dict(base, benchmarks=[{
-        "name": "frontend_access",
-        "config": {"numpy": False},
-        "metrics": {"object_access_us": 1.0},
     }])
     assert check_payload(scalar) == []
 
