@@ -34,14 +34,13 @@ direct path bit-for-bit identical.  See docs/FRONTEND.md.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from repro.cache.dram_cache import DramCache, DramCacheConfig
 from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cache.set_assoc import Eviction
 from repro.memory.request import MemoryRequest, RequestKind
-from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:
     from repro.memory.port import MemoryPort
@@ -152,19 +151,7 @@ class FrontEndStats:
         return self.hits / self.accesses
 
     def as_dict(self) -> dict:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_hits": self.read_hits,
-            "read_misses": self.read_misses,
-            "write_hits": self.write_hits,
-            "write_misses": self.write_misses,
-            "coalesced": self.coalesced,
-            "fills": self.fills,
-            "write_backs": self.write_backs,
-            "fill_rollbacks": self.fill_rollbacks,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class _MissEntry:
@@ -190,16 +177,12 @@ class DramCacheFrontEnd:
         memory: "MemoryPort",
         config: FrontEndConfig,
         cycle_ticks: int,
-        telemetry: Optional[Telemetry] = None,
     ):
         if not config.enabled:
             raise ValueError("front end constructed with kind='none'")
         self.engine = engine
         self.memory = memory
         self.config = config
-        self.telemetry = (
-            telemetry if telemetry is not None else Telemetry.disabled()
-        )
         self.dram = DramCache(config.dram, policy=config.replacement)
         #: Engine ticks a tier hit takes — ``access_cycles`` expressed in
         #: CPU cycles of the core clock this tier serves.
@@ -217,13 +200,6 @@ class DramCacheFrontEnd:
         self._wb_blocked = False
         self._next_fill_id = FILL_ID_BASE
         self._next_wb_id = WRITE_BACK_ID_BASE
-
-        metrics = self.telemetry.metrics
-        self._m_hits = metrics.counter("frontend.hits")
-        self._m_misses = metrics.counter("frontend.misses")
-        self._m_coalesced = metrics.counter("frontend.mshr_coalesced")
-        self._m_fills = metrics.counter("frontend.fills")
-        self._m_write_backs = metrics.counter("frontend.write_backs")
 
     # ------------------------------------------------------------------
     # MemoryPort interface (what the cores call)
@@ -352,16 +328,13 @@ class DramCacheFrontEnd:
         entry = self.dram.cache.probe(request.address)
         if entry is not None:
             self.stats.read_hits += 1
-            self._m_hits.inc()
             self._schedule_hit(request)
             return
         self.stats.read_misses += 1
-        self._m_misses.inc()
         miss = self._mshrs.get(request.address)
         if miss is not None:
             miss.waiting_reads.append(request)
             self.stats.coalesced += 1
-            self._m_coalesced.inc()
             return
         self._start_fill(request.address, request, waiting_read=True)
 
@@ -375,17 +348,14 @@ class DramCacheFrontEnd:
         )
         if entry is not None:
             self.stats.write_hits += 1
-            self._m_hits.inc()
             self._schedule_hit(request)
             return
         self.stats.write_misses += 1
-        self._m_misses.inc()
         miss = self._mshrs.get(request.address)
         if miss is not None:
             miss.pending_mask |= request.dirty_mask
             miss.waiting_writes.append(request)
             self.stats.coalesced += 1
-            self._m_coalesced.inc()
             return
         self._start_fill(request.address, request, waiting_read=False)
 
@@ -426,7 +396,6 @@ class DramCacheFrontEnd:
             self._forward_verify(readers, rollback)
         )
         self.stats.fills += 1
-        self._m_fills.inc()
         self.memory.submit(fill)
 
     def _on_fill_complete(self, fill: MemoryRequest) -> None:
@@ -461,7 +430,6 @@ class DramCacheFrontEnd:
             new_words=eviction.words,
         )
         self.stats.write_backs += 1
-        self._m_write_backs.inc()
         self._write_backs.append(wb)
         self._drain_write_backs()
 

@@ -7,7 +7,7 @@ from repro.core.palp import PartitionParallelWritePolicy
 from repro.core.pausing import WritePausingController, WritePausingPolicy
 from repro.core.row import ReadOverWritePolicy
 from repro.core.wow import WriteOverWritePolicy
-from repro.core.essential import EssentialWordDetector, EssentialWordStats, diff_words
+from repro.core.essential import EssentialWordDetector, diff_words
 from repro.core.rotation import (
     DataRotatedLayout,
     FixedLayout,
@@ -38,7 +38,6 @@ __all__ = [
     "ReadOverWritePolicy",
     "WriteOverWritePolicy",
     "EssentialWordDetector",
-    "EssentialWordStats",
     "diff_words",
     "DataRotatedLayout",
     "FixedLayout",

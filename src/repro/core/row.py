@@ -53,11 +53,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         metrics = c.telemetry.metrics
         self._m_attempts = metrics.counter("row.attempts")
         self._m_windows = metrics.counter("row.windows")
-        self._m_reads = metrics.counter("row.reads")
-        self._m_overlap = metrics.counter("row.overlap_reads")
-        self._m_rollbacks = metrics.counter("rollbacks")
         self._m_rollbacks_corrupted = metrics.counter("rollbacks.corrupted")
-        self._m_verifications = metrics.counter("verifications")
         self._m_declined: Dict[str, object] = {}  # reason -> cached Counter
         # The currently open RoW window per rank (window, reads issued);
         # reads arriving while it is open are overlapped immediately.
@@ -306,10 +302,8 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
             )
             if plan.missing_word is not None:
                 c.stats.row_reads += 1
-                self._m_reads.inc()
             else:
                 c.stats.row_normal_overlap_reads += 1
-                self._m_overlap.inc()
             issued += 1
         self._active_reads[rank_index] += issued
 
@@ -442,7 +436,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         now = c.engine.now
         req.verify_completion = now
         c.stats.verify_count += 1
-        self._m_verifications.inc()
 
         corrupted = False
         if c.storage is not None and req.data_words is not None:
@@ -461,7 +454,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         if rollback:
             req.rolled_back = True
             c.stats.rollbacks += 1
-            self._m_rollbacks.inc()
             if corrupted:
                 # Real data corruption caught by the deferred verify, as
                 # opposed to the statistical consumed-early model.

@@ -29,13 +29,6 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
 
     name = "wow-group"
 
-    def on_bind(self) -> None:
-        c = self.controller
-        assert c is not None
-        metrics = c.telemetry.metrics
-        self._m_groups = metrics.counter("wow.groups")
-        self._m_members = metrics.counter("wow.member_writes")
-
     def select_write(self, ctx: WriteContext) -> bool:
         c = self.controller
         assert c is not None
@@ -163,8 +156,6 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         if grouped:
             c.stats.wow_groups += 1
             c.stats.wow_member_writes += len(members)
-            self._m_groups.inc()
-            self._m_members.inc(len(members))
             if c.tracer.enabled:
                 c.tracer.emit(TraceEvent(
                     EventType.WOW_CLOSE,

@@ -145,11 +145,12 @@ def run_campaign(spec: FaultCampaignSpec) -> dict:
     _drain(sim)
     oracle.check_all(storage)
 
-    metrics = telemetry.metrics
-    row_reads = metrics.value("row.reads")
-    verifications = metrics.value("verifications")
-    rollbacks = metrics.value("rollbacks")
-    rollbacks_corrupted = metrics.value("rollbacks.corrupted")
+    # After the drain: verifications that finish during it still count.
+    stats = sim.memory.aggregate_stats()
+    row_reads = stats.row_reads
+    verifications = stats.verify_count
+    rollbacks = stats.rollbacks
+    rollbacks_corrupted = telemetry.metrics.value("rollbacks.corrupted")
     misverify_rate = rollbacks_corrupted / row_reads if row_reads else 0.0
 
     return {

@@ -123,12 +123,7 @@ class MemoryController:
         self.read_q.attach_metrics(metrics, f"ch{channel_id}.queue.read")
         self.write_q.attach_metrics(metrics, f"ch{channel_id}.queue.write")
         self._m_reads_enqueued = metrics.counter("requests.read.enqueued")
-        self._m_writes_enqueued = metrics.counter("requests.write.enqueued")
-        self._m_reads_completed = metrics.counter("reads.completed")
         self._m_writes_completed = metrics.counter("writes.completed")
-        self._m_reads_forwarded = metrics.counter("reads.forwarded")
-        self._m_reads_delayed = metrics.counter("reads.delayed_by_write")
-        self._m_drain_entries = metrics.counter("drain.entries")
         self._m_read_latency = metrics.histogram(
             "read.latency_ns",
             buckets=(50, 100, 150, 200, 300, 500, 750, 1000, 1500,
@@ -186,7 +181,6 @@ class MemoryController:
             if self.drain:
                 request.delayed_by_write = True
         else:
-            self._m_writes_enqueued.inc()
             self.detector.detect(request)
             # Cache after detection: the detector is what finalises
             # ``dirty_mask``.  Silent writes cache their compare set
@@ -268,7 +262,6 @@ class MemoryController:
         if not self.drain and self.write_q.above_high_watermark:
             self.drain = True
             self.stats.drain_entries += 1
-            self._m_drain_entries.inc()
             if self.tracer.enabled:
                 self.tracer.emit(TraceEvent(
                     EventType.DRAIN_ENTER,
@@ -332,7 +325,6 @@ class MemoryController:
                         words[w] = write.new_words[w]
             req.data_words = tuple(words)
         self.stats.forwarded_reads += 1
-        self._m_reads_forwarded.inc()
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
                 EventType.REQUEST_ISSUE,
@@ -432,9 +424,6 @@ class MemoryController:
     def _complete_read(self, req: MemoryRequest) -> None:
         req.complete(self.engine.now)
         self.stats.record_read(req.effective_latency, req.delayed_by_write)
-        self._m_reads_completed.inc()
-        if req.delayed_by_write:
-            self._m_reads_delayed.inc()
         self._m_read_latency.observe(ticks_to_ns(req.effective_latency))
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(

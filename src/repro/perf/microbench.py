@@ -7,9 +7,10 @@ simulator does.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Tuple
 
 
 def time_call(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -30,6 +31,33 @@ def time_call(fn: Callable[[], object], repeats: int = 5) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def paired_ratio(
+    base: Callable[[], object],
+    variant: Callable[[], object],
+    pairs: int = 5,
+    clock: Callable[[], float] = time.perf_counter,
+) -> Tuple[float, float, float]:
+    """Median ``variant``/``base`` wall ratio over back-to-back pairs.
+
+    The side that runs first alternates from pair to pair, so load drift
+    lands on both sides instead of on one block of runs.  Also returns
+    each side's best wall time, in seconds.
+    """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    sides = (base, variant)
+    for fn in sides:
+        fn()  # untimed warmup, as in time_call
+    walls: Tuple[List[float], List[float]] = ([], [])
+    for i in range(pairs):
+        for side in (i % 2, 1 - i % 2):
+            t0 = clock()
+            sides[side]()
+            walls[side].append(clock() - t0)
+    ratios = [on / off for off, on in zip(*walls)]
+    return statistics.median(ratios), min(walls[0]), min(walls[1])
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.perf.microbench import BenchReport, time_call
+from repro.perf.microbench import BenchReport, paired_ratio, time_call
 
 SCHEMA_VERSION = 1
 
@@ -391,19 +391,21 @@ def bench_end_to_end(seed: int, smoke: bool = False) -> BenchReport:
 def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
     """Cost of enabling the time-series sampler at its default cadence.
 
-    Runs the end-to-end configuration twice — once plain, once with
-    ``sample_every_ticks`` + ``collect_metrics`` — and reports the wall
-    ratio.  ``samples`` is the deterministic sample count, so the
-    determinism test pins the sampler's cadence behaviour for free.  The
-    ``overhead_ratio`` ceiling is gated in :func:`check_payload` at full
-    budgets only; smoke runs are too short for a stable ratio.
+    Runs the end-to-end configuration plain and with
+    ``sample_every_ticks`` + ``collect_metrics`` in off/on pairs whose
+    order alternates; ``overhead_ratio`` is the median of the per-pair
+    wall ratios (:func:`~repro.perf.microbench.paired_ratio`).
+    ``samples`` is the deterministic sample count, so the determinism test
+    pins the sampler's cadence behaviour for free.  The ``overhead_ratio``
+    ceiling is gated in :func:`check_payload` at full budgets only; smoke
+    runs are too short for a stable ratio.
     """
     from repro.core.systems import make_rwow_rde
     from repro.sim.simulator import SimulationParams, simulate
     from repro.telemetry.timeseries import DEFAULT_CADENCE_TICKS
 
     target_requests = 600 if smoke else 3000
-    repeats = 2 if smoke else 3
+    pairs = 2 if smoke else 5
     plain = SimulationParams(target_requests=target_requests, seed=seed)
     observed = SimulationParams(
         target_requests=target_requests,
@@ -420,8 +422,7 @@ def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
         result = simulate(make_rwow_rde(), "canneal", observed)
         samples["taken"] = result.timeseries["total_samples"]
 
-    wall_off = time_call(run_off, repeats)
-    wall_on = time_call(run_on, repeats)
+    ratio, wall_off, wall_on = paired_ratio(run_off, run_on, pairs)
     return BenchReport(
         name="timeseries",
         config={
@@ -430,12 +431,12 @@ def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
             "target_requests": target_requests,
             "cadence_ticks": DEFAULT_CADENCE_TICKS,
             "seed": seed,
-            "repeats": repeats,
+            "pairs": pairs,
         },
         metrics={
             "wall_off_seconds": wall_off,
             "wall_on_seconds": wall_on,
-            "overhead_ratio": wall_on / wall_off,
+            "overhead_ratio": ratio,
             "samples": float(samples["taken"]),
         },
     )

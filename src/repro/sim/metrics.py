@@ -11,13 +11,14 @@ deliberately excluded so the metric tops out at 8.0, matching the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.engine import ticks_to_ns
 
 if TYPE_CHECKING:
     from repro.telemetry.profiler import RunProfile
+    from repro.telemetry.registry import MetricsRegistry
 
 
 def merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -164,6 +165,9 @@ class MemoryStats:
     """Aggregate counters for one controller (or merged across channels)."""
 
     reads_completed: int = 0
+    #: Writes the controller *accepted* (booked at submit, before any
+    #: array work); the registry's own ``writes.completed`` counter is the
+    #: one that counts array completions.  Named for the persisted schema.
     writes_completed: int = 0
     read_latency_ticks: int = 0          #: sum of arrival->completion
     read_latency_max: int = 0
@@ -248,29 +252,70 @@ class MemoryStats:
 
     # ------------------------------------------------------------------
     def merge(self, other: "MemoryStats") -> None:
-        """Accumulate another controller's counters into this one."""
-        self.reads_completed += other.reads_completed
-        self.writes_completed += other.writes_completed
-        self.read_latency_ticks += other.read_latency_ticks
-        self.read_latency_max = max(self.read_latency_max, other.read_latency_max)
-        self.reads_delayed_by_write += other.reads_delayed_by_write
-        self.forwarded_reads += other.forwarded_reads
-        self.row_buffer_hits += other.row_buffer_hits
-        self.row_buffer_misses += other.row_buffer_misses
-        self.row_reads += other.row_reads
-        self.row_normal_overlap_reads += other.row_normal_overlap_reads
-        self.wow_member_writes += other.wow_member_writes
-        self.wow_groups += other.wow_groups
-        self.silent_writes += other.silent_writes
-        self.rollbacks += other.rollbacks
-        self.verify_count += other.verify_count
-        self.drain_entries += other.drain_entries
-        for i, count in enumerate(other.dirty_word_histogram):
-            self.dirty_word_histogram[i] += count
-        for chip, count in other.chip_word_writes.items():
-            self.chip_word_writes[chip] = (
-                self.chip_word_writes.get(chip, 0) + count
-            )
+        """Accumulate another controller's counters into this one.
+
+        Every field adds (histogram bins and per-chip counts element-wise)
+        except ``read_latency_max``, which takes the maximum.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "read_latency_max":
+                self.read_latency_max = max(mine, theirs)
+            elif isinstance(mine, list):
+                for i, count in enumerate(theirs):
+                    mine[i] += count
+            elif isinstance(mine, dict):
+                for chip, count in theirs.items():
+                    mine[chip] = mine.get(chip, 0) + count
+            else:
+                setattr(self, f.name, mine + theirs)
+
+
+#: Registry counters filled from the stats when a run is collected, by
+#: the component that books them: registry name -> stats field.  The
+#: stats are the only store; ``row``/``wow`` are published only when the
+#: run built those policies and ``frontend`` (a
+#: :class:`~repro.cache.frontend.FrontEndStats`) only with a DRAM tier,
+#: so a dump names exactly the components the run had.
+PUBLISHED_COUNTERS: Dict[str, Dict[str, str]] = {
+    "controller": {
+        "requests.write.enqueued": "writes_completed",
+        "reads.completed": "reads_completed",
+        "reads.forwarded": "forwarded_reads",
+        "reads.delayed_by_write": "reads_delayed_by_write",
+        "drain.entries": "drain_entries",
+    },
+    "row": {
+        "row.reads": "row_reads",
+        "row.overlap_reads": "row_normal_overlap_reads",
+        "rollbacks": "rollbacks",
+        "verifications": "verify_count",
+    },
+    "wow": {
+        "wow.groups": "wow_groups",
+        "wow.member_writes": "wow_member_writes",
+    },
+    "frontend": {
+        "frontend.hits": "hits",
+        "frontend.misses": "misses",
+        "frontend.mshr_coalesced": "coalesced",
+        "frontend.fills": "fills",
+        "frontend.write_backs": "write_backs",
+    },
+}
+
+
+def publish_counters(
+    metrics: "MetricsRegistry", sources: Dict[str, object]
+) -> None:
+    """Add each ``sources`` component's stats to its registry counters.
+
+    ``sources`` maps a :data:`PUBLISHED_COUNTERS` component to the stats
+    object holding its counts.  Called once per run, at collection.
+    """
+    for component, stats in sources.items():
+        for name, field_name in PUBLISHED_COUNTERS[component].items():
+            metrics.counter(name).inc(getattr(stats, field_name))
 
 
 @dataclass

@@ -10,16 +10,18 @@ delayed-read fraction, rollbacks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.cache.frontend import DramCacheFrontEnd, FrontEndConfig
 from repro.core.config import SystemConfig
+from repro.core.row import ReadOverWritePolicy
+from repro.core.wow import WriteOverWritePolicy
 from repro.cpu.core import CoreParams
 from repro.cpu.multicore import Multicore
 from repro.memory.memsys import MainMemory
 from repro.memory.storage import MemoryStorage
 from repro.sim.engine import Engine
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import MemoryStats, SimulationResult, publish_counters
 from repro.telemetry import RunProfile, Telemetry, WallClock
 from repro.telemetry.timeseries import DEFAULT_CAPACITY, TimeseriesSampler
 from repro.trace.workloads import WorkloadProfile, get_workload
@@ -112,7 +114,6 @@ class SystemSimulator:
                 self.memory,
                 self.params.front_end,
                 cycle_ticks=self.params.core_params.cycle_ticks,
-                telemetry=self.telemetry,
             )
         self.multicore = Multicore(
             self.engine,
@@ -184,13 +185,13 @@ class SystemSimulator:
         sampler = TimeseriesSampler(
             cadence_ticks=cadence, capacity=self.params.timeseries_capacity
         )
-        metrics = self.telemetry.metrics
-        reads_in = metrics.counter("requests.read.enqueued")
-        reads_done = metrics.counter("reads.completed")
-        sampler.add_probe(
-            "reads.outstanding", lambda: reads_in.value - reads_done.value
-        )
+        reads_in = self.telemetry.metrics.counter("requests.read.enqueued")
         controllers = self.memory.controllers
+        sampler.add_probe(
+            "reads.outstanding",
+            lambda: reads_in.value
+            - sum(c.stats.reads_completed for c in controllers),
+        )
         for controller in controllers:
             channel = controller.channel_id
             sampler.add_probe(
@@ -259,8 +260,21 @@ class SystemSimulator:
         metrics.gauge("engine.sim_ticks").set(self.engine.now)
         return profile
 
+    def _publish_counters(self, stats: MemoryStats) -> None:
+        """Fill the registry's stats-backed counters for the built parts."""
+        chain = [p for c in self.memory.controllers for p in c.policies.policies]
+        sources: Dict[str, object] = {"controller": stats}
+        if any(isinstance(p, ReadOverWritePolicy) for p in chain):
+            sources["row"] = stats
+        if any(isinstance(p, WriteOverWritePolicy) for p in chain):
+            sources["wow"] = stats
+        if self.frontend is not None:
+            sources["frontend"] = self.frontend.stats
+        publish_counters(self.telemetry.metrics, sources)
+
     def _collect(self, wall_seconds: float = 0.0) -> SimulationResult:
         stats = self.memory.aggregate_stats()
+        self._publish_counters(stats)
         result = SimulationResult(
             system_name=self.system.name,
             workload_name=self.workload.name,
@@ -274,9 +288,10 @@ class SystemSimulator:
             seed=self.params.seed,
             profile=self._profile(wall_seconds),
         )
-        # _profile() above records the engine gauges, so a collected dump
-        # includes events_dispatched/sim_ticks — the regression sentinel's
-        # behavioural fingerprint.
+        # _profile() above records the engine gauges and _publish_counters
+        # the stats-backed counters, so a collected dump includes
+        # events_dispatched/sim_ticks — the regression sentinel's
+        # behavioural fingerprint — and every RoW/WoW/tier count.
         if self.params.collect_metrics:
             result.metrics = self.telemetry.metrics.as_dict()
         if self.sampler is not None:

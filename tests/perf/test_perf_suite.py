@@ -8,6 +8,8 @@ the JSON schema, the benchmark names and configs, and the metric *keys*
 
 import json
 
+import pytest
+
 from repro import cli
 from repro.ecc import batch
 from repro.perf import (
@@ -17,6 +19,7 @@ from repro.perf import (
     check_payload,
     run_suite,
 )
+from repro.perf.microbench import paired_ratio
 
 #: Top-level keys of the BENCH_perf.json payload, in any order.
 TOP_LEVEL_KEYS = {
@@ -186,3 +189,29 @@ def test_check_payload_gates_sampling_overhead_at_full_budget():
     # Smoke runs are too short for a stable ratio — never gated.
     payload["smoke"] = True
     assert check_payload(payload) == []
+
+
+def test_paired_ratio_alternates_order_and_takes_the_median():
+    now = [0.0]
+    calls = []
+    costs = {
+        # Untimed warmup first, then one call per pair.
+        "off": iter([9.0, 1.0, 1.0, 2.0]),
+        "on": iter([9.0, 1.1, 1.5, 2.2]),
+    }
+
+    def side(name):
+        def run():
+            calls.append(name)
+            now[0] += next(costs[name])
+        return run
+
+    ratio, best_off, best_on = paired_ratio(
+        side("off"), side("on"), pairs=3, clock=lambda: now[0]
+    )
+    assert calls == ["off", "on", "off", "on", "on", "off", "off", "on"]
+    # Per-pair ratios 1.1, 1.5, 1.1: the outlier pair does not move it.
+    assert ratio == pytest.approx(1.1)
+    assert (best_off, best_on) == (1.0, pytest.approx(1.1))
+    with pytest.raises(ValueError):
+        paired_ratio(side("off"), side("on"), pairs=0)

@@ -13,7 +13,7 @@ golden only after confirming the change is intended::
 
 from pathlib import Path
 
-from repro.core.systems import make_system
+from repro.core.systems import make_front_end, make_system
 from repro.sim.simulator import SimulationParams, simulate
 from repro.telemetry import EventType, ListSink, Telemetry
 
@@ -76,17 +76,40 @@ def test_metrics_agree_with_result_stats():
     run = _traced_run()
     stats = run["result"].memory
     metrics = run["telemetry"].metrics
+    assert stats.row_reads > 0 and stats.verify_count > 0
     assert metrics.value("row.reads") == stats.row_reads
+    assert metrics.value("row.overlap_reads") == stats.row_normal_overlap_reads
+    assert metrics.value("verifications") == stats.verify_count
     assert metrics.value("wow.member_writes") == stats.wow_member_writes
     assert metrics.value("wow.groups") == stats.wow_groups
     assert metrics.value("rollbacks") == stats.rollbacks
     assert metrics.value("reads.completed") == stats.reads_completed
+    assert metrics.value("reads.forwarded") == stats.forwarded_reads
+    assert metrics.value("reads.delayed_by_write") == stats.reads_delayed_by_write
     # MemoryStats counts a write when it is accepted (submit time); the
     # registry's writes.completed counts actual completions, so it can
     # only lag by the writes still queued or in flight at sim end.
     assert metrics.value("requests.write.enqueued") == stats.writes_completed
     assert 0 < metrics.value("writes.completed") <= stats.writes_completed
     assert metrics.value("drain.entries") == stats.drain_entries
+
+    # The DRAM tier's five counters, from a run with the tier built.
+    telemetry = Telemetry.disabled()
+    params = SimulationParams(
+        target_requests=200, n_cores=2, seed=1, front_end=make_front_end("dram")
+    )
+    tier = simulate(make_system("rwow-rde"), "canneal", params, telemetry)
+    scoreboard, metrics = tier.frontend, telemetry.metrics
+    assert scoreboard["fills"] > 0
+    assert metrics.value("frontend.hits") == (
+        scoreboard["read_hits"] + scoreboard["write_hits"]
+    )
+    assert metrics.value("frontend.misses") == (
+        scoreboard["read_misses"] + scoreboard["write_misses"]
+    )
+    assert metrics.value("frontend.mshr_coalesced") == scoreboard["coalesced"]
+    assert metrics.value("frontend.fills") == scoreboard["fills"]
+    assert metrics.value("frontend.write_backs") == scoreboard["write_backs"]
 
 
 def test_decline_reasons_partition_attempts():
