@@ -4,11 +4,11 @@ The four main figures (8-11) plot the same 12-workload x 6-system sweep
 from different angles, so the sweep is memoised process-wide — keyed by
 the content hash of its parameters, so editing ``SWEEP_PARAMS`` (or
 monkeypatching it in a test) can never return a stale sweep.  All
-simulation runs go through :mod:`repro.sim.runner`: they fan out over a
-process pool (``REPRO_SWEEP_JOBS``, default: all cores) and are served
-from the on-disk result cache under ``benchmarks/results/cache/``
-(disable with ``REPRO_SWEEP_NO_CACHE=1``; relocate with
-``REPRO_SWEEP_CACHE_DIR``).  Every benchmark writes its report to
+simulation runs go through :mod:`repro.sim.runner`: local worker
+processes drain them (``REPRO_SWEEP_JOBS``, default: all cores), and
+they are served from the on-disk result cache under
+``benchmarks/results/cache/`` (disable with ``REPRO_SWEEP_NO_CACHE=1``;
+relocate with ``REPRO_SWEEP_CACHE_DIR``).  Every benchmark writes its report to
 ``benchmarks/results/<name>.txt`` (and prints it, visible with
 ``pytest -s``); EXPERIMENTS.md captures one reference output per
 experiment.
@@ -62,14 +62,16 @@ def sweep_cache() -> Optional[ResultCache]:
     return ResultCache(directory)
 
 
-def campaign_store_path() -> Optional[str]:
+def campaign_store():
     """Durable-campaign opt-in: ``REPRO_CAMPAIGN_DIR`` names a directory
-    holding the SQLite job store; unset (the default) keeps benchmark
-    sweeps on the in-memory one-shot runner."""
+    holding the SQLite job store; unset (the default), each sweep runs
+    over a throwaway store."""
     directory = os.environ.get("REPRO_CAMPAIGN_DIR", "").strip()
     if not directory:
         return None
-    return os.path.join(directory, "campaign.sqlite")
+    from repro.sim.campaign import CampaignStore
+
+    return CampaignStore(os.path.join(directory, "campaign.sqlite"))
 
 
 def run_pairs(
@@ -80,30 +82,17 @@ def run_pairs(
 
     The entry point for benchmarks whose sweeps are not plain grids
     (timing sweeps, rollback ablations): results come back in pair order.
-    With ``REPRO_CAMPAIGN_DIR`` set, the same pairs run as a durable
-    campaign instead: progress persists in the SQLite store, a crashed
-    benchmark run resumes where it stopped, and the results are
-    byte-identical (each job's seed derives from its content).
+    With ``REPRO_CAMPAIGN_DIR`` set, the run is durable: progress
+    persists in the SQLite store, a crashed benchmark run resumes where
+    it stopped, and the results are byte-identical (each job's seed
+    derives from its content).  A durable run needs the result cache.
     """
-    params = params if params is not None else SWEEP_PARAMS
-    store_path = campaign_store_path()
-    if store_path is not None:
-        from repro.sim.campaign import CampaignStore, run_pairs_durable
-
-        cache = sweep_cache()
-        if cache is None:
-            raise RuntimeError(
-                "REPRO_CAMPAIGN_DIR needs the result cache; unset "
-                "REPRO_SWEEP_NO_CACHE to run benchmarks durably"
-            )
-        return run_pairs_durable(
-            pairs, params, store=CampaignStore(store_path), cache=cache
-        )
     return _runner_run_pairs(
         pairs,
-        params,
+        params if params is not None else SWEEP_PARAMS,
         jobs=sweep_jobs_count(),
         cache=sweep_cache(),
+        store=campaign_store(),
     )
 
 

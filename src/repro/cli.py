@@ -206,7 +206,10 @@ def _sweep_cache_dir(args: argparse.Namespace) -> str:
 
 
 def _lease_policy(args: argparse.Namespace):
-    """LeasePolicy from the campaign CLI knobs (defaults where absent)."""
+    """LeasePolicy from the campaign CLI knobs (defaults where absent).
+
+    A bad knob prints ``repro <command>: <message>`` and exits 2.
+    """
     from repro.sim.campaign import LeasePolicy
 
     kwargs = {}
@@ -216,7 +219,11 @@ def _lease_policy(args: argparse.Namespace):
         kwargs["max_attempts"] = args.max_attempts
     if getattr(args, "timeout", None) is not None:
         kwargs["job_timeout"] = args.timeout
-    return LeasePolicy(**kwargs)
+    try:
+        return LeasePolicy(**kwargs)
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -230,16 +237,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     systems = args.systems.split(",") if args.systems else None
     workloads = args.workloads.split(",")
     cache = None if args.no_cache else ResultCache(_sweep_cache_dir(args))
-    comparisons = sweep_workloads(
-        workloads,
-        systems,
-        _params(args),
-        jobs=args.jobs,
-        cache=cache,
-        progress=_progress_printer(args.quiet),
-        timeout=args.timeout,
-        retries=args.retries,
-    )
+    try:
+        comparisons = sweep_workloads(
+            workloads,
+            systems,
+            _params(args),
+            jobs=args.jobs,
+            cache=cache,
+            progress=_progress_printer(args.quiet),
+            timeout=args.timeout,
+            retries=args.retries,
+        )
+    except ValueError as exc:
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
     for comparison in comparisons:
         rows = [_result_row(r) for r in comparison.results.values()]
         print(format_table(
@@ -387,7 +398,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     if args.digest:
         cache = ResultCache(_sweep_cache_dir(args))
         for document in documents:
-            slots, _ = collect_results(store, cache, str(document["campaign"]))
+            slots = collect_results(store, cache, str(document["campaign"]))
             present = [r for r in slots if r is not None]
             document["results_cached"] = len(present)
             if len(present) == document["total"]:

@@ -1,14 +1,15 @@
 """Durable sweep campaigns: SQLite job queue, leased workers, HTTP status.
 
-The one-shot :mod:`repro.sim.runner` loses all progress on a crash; a
-*campaign* persists the same :class:`~repro.sim.runner.jobs.SweepJob`\\ s
-in a SQLite store (WAL mode, one row per job) and lets any number of
-workers — in-process loops, ``repro worker`` subprocesses, even other
-hosts sharing the store directory — pull jobs under lease, heartbeat
-while running, and retry or dead-letter failures.  Completed payloads
-land in the existing content-addressed :class:`ResultCache`, so a
-resumed or multi-worker campaign merges to byte-identical results
-against a serial ``run_pairs`` of the same pairs.
+Every sweep is a campaign: :class:`~repro.sim.runner.SweepRunner` puts
+its :class:`~repro.sim.runner.jobs.SweepJob`\\ s in a SQLite store (WAL
+mode, one row per job) — a throwaway one, or a durable one the caller
+names — and workers pull them under lease, heartbeat while running, and
+retry or dead-letter failures.  Workers are local processes (never
+threads: a thread that forks a job's child can hand it a lock another
+thread holds), ``repro worker`` subprocesses, or other hosts sharing the
+store directory.  Completed payloads land in the content-addressed
+:class:`ResultCache`, so a resumed or multi-worker campaign merges to
+byte-identical results against a serial ``run_pairs`` of the same pairs.
 
 Public surface::
 
@@ -31,14 +32,8 @@ from repro.sim.campaign.aggregate import (
     resume_campaign,
     run_pairs_durable,
     submit_pairs,
-    verify_campaign_results,
 )
 from repro.sim.campaign.lease import LeasePolicy
-from repro.sim.campaign.service import (
-    STATUS_SCHEMA,
-    CampaignService,
-    StatusServer,
-)
 from repro.sim.campaign.store import (
     JOB_STATES,
     CampaignStore,
@@ -46,6 +41,19 @@ from repro.sim.campaign.store import (
     StoreCorruptError,
 )
 from repro.sim.campaign.worker import Worker, parse_inject, run_worker
+
+_SERVICE_EXPORTS = ("STATUS_SCHEMA", "CampaignService", "StatusServer")
+
+
+def __getattr__(name):
+    # Every sweep imports this package, and the service's http.server
+    # would add about 2 MB to each sweep worker; load it on first use.
+    if name in _SERVICE_EXPORTS:
+        from repro.sim.campaign import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JOB_STATES",
@@ -65,5 +73,4 @@ __all__ = [
     "submit_pairs",
     "run_pairs_durable",
     "resume_campaign",
-    "verify_campaign_results",
 ]

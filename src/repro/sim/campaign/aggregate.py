@@ -12,27 +12,22 @@ seed no matter which worker, host or attempt computed it.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.campaign.lease import LeasePolicy
 from repro.sim.campaign.store import CampaignStore
-from repro.sim.campaign.worker import Worker
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner.cache import ResultCache
 from repro.sim.runner.executor import (
+    SweepRunner,
     SystemLike,
     WorkloadLike,
+    default_campaign_name,
     merged_metrics,
     merged_timeseries,
 )
-from repro.sim.runner.jobs import SweepJob, content_hash
+from repro.sim.runner.jobs import SweepJob
 from repro.sim.simulator import SimulationParams
-
-
-def default_campaign_name(jobs: Sequence[SweepJob]) -> str:
-    """Deterministic name for an unnamed submission: the job-list hash."""
-    return "c-" + content_hash([job.cache_key() for job in jobs])[:12]
 
 
 def submit_pairs(
@@ -57,38 +52,11 @@ def submit_pairs(
 
 def collect_results(
     store: CampaignStore, cache: ResultCache, campaign: str
-) -> Tuple[List[Optional[SimulationResult]], List[int]]:
-    """Results in submission order; ``None`` holes where nothing exists.
-
-    Second element lists the indices of ``done`` jobs whose cached result
-    is missing or failed the cache's self-verification — the store and
-    the cache disagree, and callers (resume, verify) requeue those.
-    """
-    slots: List[Optional[SimulationResult]] = []
-    stale_done: List[int] = []
-    for row in store.jobs_in_order(campaign):
-        result = cache.get(str(row["key"]))
-        slots.append(result)
-        if result is None and row["state"] == "done":
-            stale_done.append(int(row["job_index"]))
-    return slots, stale_done
-
-
-def verify_campaign_results(
-    store: CampaignStore, cache: ResultCache, campaign: str
-) -> int:
-    """Requeue every ``done`` job whose cached payload is gone or corrupt.
-
-    The cache already self-verifies (key + SHA-256 digest), so a corrupt
-    entry reads as missing; the store's "done" claim is then a lie and the
-    job recomputes.  Returns how many jobs were requeued.
-    """
-    _, stale_done = collect_results(store, cache, campaign)
-    requeued = 0
-    for job_index in stale_done:
-        if store.requeue(campaign, job_index):
-            requeued += 1
-    return requeued
+) -> List[Optional[SimulationResult]]:
+    """Results in submission order; ``None`` holes where nothing exists."""
+    return [
+        cache.get(str(row["key"])) for row in store.jobs_in_order(campaign)
+    ]
 
 
 def merged_partial(
@@ -100,7 +68,7 @@ def merged_partial(
     jobs the merge grows monotonically toward the full-campaign merge,
     and on a finished campaign it equals the serial one byte for byte.
     """
-    slots, _ = collect_results(store, cache, campaign)
+    slots = collect_results(store, cache, campaign)
     present = [result for result in slots if result is not None]
     counts = store.counts(campaign)
     return {
@@ -136,57 +104,26 @@ def campaign_progress(
     }
 
 
-def drain(
-    store: CampaignStore,
-    cache: ResultCache,
-    campaign: str,
-    worker_id: str = "inline",
-) -> List[SimulationResult]:
-    """Run an inline worker until ``campaign`` has nothing leasable,
-    then collect; raises if jobs dead-lettered or remain leased elsewhere.
-    """
-    Worker(store, cache, worker_id=worker_id).run(campaign=campaign, once=True)
-    counts = store.counts(campaign)
-    if counts["failed"]:
-        letters = store.dead_letters(campaign)
-        raise RuntimeError(
-            f"campaign {campaign!r} has {counts['failed']} dead-lettered "
-            f"job(s); first error:\n{letters[0]['error']}"
-        )
-    if not store.all_done(campaign):
-        raise RuntimeError(
-            f"campaign {campaign!r} not drained: {counts} "
-            "(jobs still leased by another live worker?)"
-        )
-    slots, stale = collect_results(store, cache, campaign)
-    if stale or any(result is None for result in slots):
-        raise RuntimeError(
-            f"campaign {campaign!r} is done but {len(stale)} cached "
-            "result(s) are missing; run verify_campaign_results and resume"
-        )
-    return [result for result in slots if result is not None]
-
-
 def resume_campaign(
     store: CampaignStore,
     cache: ResultCache,
     campaign: str,
-    worker_id: str = "resume",
     reset_dead_letters: bool = False,
 ) -> List[SimulationResult]:
     """Finish a partially-run campaign in-process and return its results.
 
-    Reclaims expired leases, requeues done-but-resultless jobs (store/
-    cache disagreement after corruption) and optionally gives dead
-    letters a fresh attempt budget, then drains inline.  Completed jobs
-    are pure cache reads — resuming only computes what's missing.
+    The campaign's own jobs go through the sweep runner over ``store``:
+    it reclaims expired leases, requeues done-but-resultless jobs (store/
+    cache disagreement after corruption) and computes only what the
+    cache lacks.  ``reset_dead_letters`` first gives dead letters a fresh
+    attempt budget; without it a dead letter raises.
     """
-    store.expire_leases()
-    verify_campaign_results(store, cache, campaign)
     if reset_dead_letters:
         for row in store.dead_letters(campaign):
             store.requeue(campaign, int(row["job_index"]))
-    return drain(store, cache, campaign, worker_id=worker_id)
+    return SweepRunner(cache=cache).run(
+        store.load_jobs(campaign), store=store, campaign=campaign
+    )
 
 
 def run_pairs_durable(
@@ -197,26 +134,17 @@ def run_pairs_durable(
     cache: ResultCache,
     campaign: Optional[str] = None,
 ) -> List[SimulationResult]:
-    """Durable drop-in for ``run_pairs``: submit (idempotent), drain, collect.
+    """Durable drop-in for ``run_pairs``: the same runner over ``store``.
 
     A crash at any point loses nothing: rerunning resubmits the identical
     campaign (a no-op), reclaims stale leases and computes only the holes.
     """
-    name = submit_pairs(store, pairs, params, campaign)
-    deadline = None
-    if store.policy.job_timeout is not None:
-        deadline = time.monotonic() + store.policy.job_timeout * len(pairs)
-    while True:
-        try:
-            return resume_campaign(store, cache, name, worker_id="durable")
-        except RuntimeError:
-            # Another worker holds live leases; wait for them (bounded
-            # when a job timeout bounds each lease's useful lifetime).
-            if deadline is not None and time.monotonic() > deadline:
-                raise
-            if store.counts(name)["leased"] == 0:
-                raise
-            time.sleep(0.2)
+    sweep_jobs = [
+        SweepJob.build(workload, system, params) for workload, system in pairs
+    ]
+    return SweepRunner(cache=cache).run(
+        sweep_jobs, store=store, campaign=campaign
+    )
 
 
 __all__ = [
@@ -224,10 +152,8 @@ __all__ = [
     "default_campaign_name",
     "submit_pairs",
     "collect_results",
-    "verify_campaign_results",
     "merged_partial",
     "campaign_progress",
-    "drain",
     "resume_campaign",
     "run_pairs_durable",
 ]

@@ -39,6 +39,12 @@ class LeasePolicy:
     def __post_init__(self) -> None:
         if self.lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
+        if self.heartbeat_seconds <= 0:
+            raise ValueError("heartbeat_seconds must be positive")
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ValueError(
+                f"timeout must be positive, got {self.job_timeout}"
+            )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base < 0 or self.backoff_cap < 0:

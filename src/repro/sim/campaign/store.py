@@ -488,6 +488,16 @@ class CampaignStore:
             ).fetchall()
         return [dict(row) for row in rows]
 
+    def load_jobs(self, campaign: str) -> List[SweepJob]:
+        """The campaign's jobs, unpickled, in submission order."""
+        rows = self.jobs_in_order(campaign)
+        if not rows:
+            raise KeyError(f"unknown campaign {campaign!r}")
+        return [
+            pickle.loads(self.job(campaign, row["job_index"])["payload"])
+            for row in rows
+        ]
+
     def job(self, campaign: str, job_index: int) -> Dict[str, object]:
         with self._guard():
             row = self._connect().execute(

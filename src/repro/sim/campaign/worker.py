@@ -1,8 +1,10 @@
 """Campaign worker: lease, heartbeat, execute, complete — or fail loudly.
 
 A worker is a plain loop over the store's lease protocol.  Several can
-run at once — threads in one process, ``repro worker`` subprocesses, or
-other hosts that mount the same store directory — because every claim
+run at once — local processes, threads in one process (not under a
+``job_timeout``, whose isolating fork must not race another thread's
+locks), ``repro worker`` subprocesses, or other hosts that mount the
+same store directory — because every claim
 goes through the store's ``BEGIN IMMEDIATE`` lease and every result
 lands in the content-addressed :class:`ResultCache` under the job's own
 hash, where recomputing an already-cached key is a harmless no-op.
@@ -82,16 +84,12 @@ class Worker:
         worker_id: Optional[str] = None,
         execute: Optional[Callable[[SweepJob], SimulationResult]] = None,
         inject: Optional[Callable[[int], None]] = None,
-        isolate: bool = True,
     ):
         self.store = store
         self.cache = cache
         self.worker_id = worker_id or default_worker_id()
         self._execute = execute if execute is not None else default_execute
         self._inject = inject
-        #: Run jobs in a killable child process (enforces the policy's
-        #: ``job_timeout``); tests flip this off to execute inline.
-        self.isolate = isolate
         self.executed = 0
         self.completed = 0
         self.failed = 0
@@ -104,6 +102,7 @@ class Worker:
         once: bool = False,
         poll_seconds: float = 0.25,
         stop: Optional[threading.Event] = None,
+        after_job: Optional[Callable[[], None]] = None,
     ) -> int:
         """Pull and run jobs until drained (``once``) or stopped.
 
@@ -111,8 +110,10 @@ class Worker:
         drains: the worker exits when no job is queued or leased any more
         (jobs gated behind a retry backoff, or leased by another worker
         whose lease may yet expire, are waited out) — the loop behind
-        ``repro sweep --resume`` and the tests.  Without it the worker
-        keeps polling for new work like a long-lived fleet member.
+        every sweep's local workers.  Without it the worker keeps polling
+        for new work like a long-lived fleet member.  ``after_job`` is
+        called after each job this worker settles (the inline sweep
+        reports its progress from it).
         """
         while stop is None or not stop.is_set():
             self.store.expire_leases()
@@ -123,6 +124,8 @@ class Worker:
                 time.sleep(poll_seconds)
                 continue
             self.run_one(leased)
+            if after_job is not None:
+                after_job()
         return self.completed
 
     def run_one(self, leased: LeasedJob) -> bool:
@@ -178,8 +181,9 @@ class Worker:
         self.executed += 1
         if self._inject is not None:
             self._inject(attempt)
+        # A policy timeout runs the job in a killable child process.
         timeout = self.store.policy.job_timeout
-        if self.isolate and timeout is not None:
+        if timeout is not None:
             return run_job_isolated(job, timeout, self._execute)
         return self._execute(job)
 

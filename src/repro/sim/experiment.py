@@ -114,13 +114,13 @@ def sweep_workloads(
 ) -> List[SystemComparison]:
     """Cartesian sweep used by the figure benchmarks.
 
-    Runs through :mod:`repro.sim.runner`: ``jobs`` fans the grid out over
-    a process pool (results stay bit-identical to ``jobs=1`` because
-    every cell's seed is derived from ``params.seed`` and the cell's
-    names, not from execution order), and ``cache`` serves repeat cells
-    from the on-disk result cache instead of re-simulating.  ``timeout``
-    and ``retries`` route through the runner's guarded path (each job in
-    a killable process) so a hung cell cannot wedge the sweep.
+    Runs through :mod:`repro.sim.runner`: ``jobs`` local worker
+    processes drain the grid (results stay bit-identical to ``jobs=1``
+    because every cell's seed is derived from ``params.seed`` and the
+    cell's names, not from execution order), and ``cache`` serves repeat
+    cells from the on-disk result cache instead of re-simulating.
+    ``timeout`` kills a hung cell and ``retries`` grants a failed one
+    more attempts, so no cell can wedge the sweep.
     """
     if systems is None:
         systems = SYSTEM_NAMES

@@ -1,12 +1,12 @@
 """Run one sweep job in a killable child process, with a wall-clock cap.
 
-The plain executor trusts ``simulate`` to return; a hung or crashing job
-would wedge ``repro sweep`` (serial path) or poison a pool worker.  This
-module gives both the one-shot runner and the campaign worker the same
-escape hatch: the job runs in its own ``multiprocessing.Process``, the
-parent polls a pipe with a timeout, and an overdue or dead child is
-killed and reported as a typed error the caller can retry, back off on,
-or dead-letter.
+An inline execution trusts ``simulate`` to return; a hung or crashing
+job would wedge its worker.  When a policy sets ``job_timeout``, the
+campaign worker (and so every sweep) takes this escape hatch instead:
+the job runs in its own ``multiprocessing.Process``, the parent polls a
+pipe with a timeout, and an overdue or dead child is killed and
+reported as a typed error the worker can retry, back off on, or
+dead-letter.
 
 The child sends ``("ok", result)`` or ``("err", traceback_text)`` over a
 one-way pipe *before* the parent joins it, so a large pickled result can

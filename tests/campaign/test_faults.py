@@ -21,11 +21,9 @@ from repro.sim.campaign import (
     CampaignStore,
     LeasePolicy,
     StoreCorruptError,
-    Worker,
     resume_campaign,
     run_pairs_durable,
     submit_pairs,
-    verify_campaign_results,
 )
 from repro.sim.results_io import results_digest
 from repro.sim.runner import run_pairs
@@ -107,7 +105,7 @@ def test_sigkilled_worker_is_relieved_and_results_match(
 
     # Resume in-process (no inject here): recomputes the hole, and the
     # merge is byte-identical to the serial reference.
-    results = resume_campaign(store, cache, campaign, worker_id="rescuer")
+    results = resume_campaign(store, cache, campaign)
     assert results_digest(results) == serial_reference
     assert store.job(campaign, int(victim["job_index"]))["attempts"] == 2
     store.close()
@@ -208,20 +206,18 @@ def test_corrupt_cache_entry_is_requeued_and_recomputed(
 
     # Garble one completed job's cached payload.  The cache self-verifies
     # (key + digest), so the entry reads as a miss — the store's "done"
-    # claim is now a lie that verify must surface.
+    # claim is now a lie that the resume must surface.
     victim_key = str(store.jobs_in_order(campaign)[0]["key"])
     cache.path_for(victim_key).write_text('{"scrambled": true}')
 
-    requeued = verify_campaign_results(store, cache, campaign)
-    assert requeued == 1
-    assert store.job(campaign, 0)["state"] == "queued"
-
-    worker = Worker(store, cache, worker_id="recompute")
-    worker.run(campaign=campaign, once=True)
-    assert worker.executed == 1  # only the damaged cell re-simulated
+    writes_before = cache.stats.writes
     recovered = resume_campaign(store, cache, campaign)
     assert results_digest(recovered) == serial_reference
     assert cache.stats.corrupt >= 1
+    # Only the damaged cell re-simulated, on a requeued (fresh) budget.
+    assert cache.stats.writes == writes_before + 1
+    assert store.job(campaign, 0)["attempts"] == 1
+    assert store.all_done(campaign)
     store.close()
 
 

@@ -131,6 +131,20 @@ def test_backoff_is_capped_exponential():
     assert policy.backoff(50) == 3.0
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"job_timeout": 0},
+        {"job_timeout": -1.0},
+        {"heartbeat_seconds": 0},
+        {"heartbeat_seconds": -0.5},
+    ],
+)
+def test_policy_rejects_non_positive_timeout_and_heartbeat(knobs):
+    with pytest.raises(ValueError, match="must be positive"):
+        LeasePolicy(**knobs)
+
+
 def test_heartbeat_renews_and_expiry_reclaims(store):
     store.submit("c1", job_pool(2))
     leased = store.lease("w1", "c1", now=100.0)
@@ -268,3 +282,14 @@ def test_real_jobs_submit_and_lease(store):
     job = leased.load()
     assert job.workload.name == "MP3"
     assert job.system.name == "baseline"
+
+
+def test_load_jobs_returns_the_submitted_jobs_in_order(store):
+    jobs = job_pool(4)
+    store.submit("c1", jobs)
+    loaded = store.load_jobs("c1")
+    assert [job.cache_key() for job in loaded] == [
+        job.cache_key() for job in jobs
+    ]
+    with pytest.raises(KeyError, match="unknown campaign"):
+        store.load_jobs("ghost")

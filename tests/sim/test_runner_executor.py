@@ -202,3 +202,45 @@ def test_tagged_sweep_served_from_cache(tmp_path):
             f"{cache.stats}"
         )
         assert runner.executed_jobs == 0
+
+
+def test_failed_job_raises_job_execution_error(tmp_path, monkeypatch):
+    """One error contract: a job that raises in a worker process comes
+    back as JobExecutionError with its traceback, and the sweep leaves
+    no worker process and no temporary store behind."""
+    import dataclasses
+    import multiprocessing
+    import tempfile
+
+    from repro.sim.runner import JobExecutionError
+    from repro.trace.workloads import get_workload
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    silent = dataclasses.replace(get_workload("MP3"), rpki=0.0, wpki=0.0)
+    jobs = [
+        SweepJob.build("MP2", "baseline", FAST),
+        SweepJob.build(silent, "baseline", FAST),
+    ]
+    with pytest.raises(JobExecutionError, match="performs no memory accesses"):
+        run_jobs(jobs, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parallel_sweep_forks_one_process_per_worker():
+    """Four jobs on two workers fork exactly two processes, not one per
+    job: benchmarks probe speed inside "the next N forked processes"."""
+    state = {"counting": True, "forks": 0}
+
+    def count_fork():
+        if state["counting"]:
+            state["forks"] += 1
+
+    # A fork hook cannot be unregistered; it goes quiet after the sweep.
+    os.register_at_fork(before=count_fork)
+    try:
+        results = run_jobs(_jobs(), jobs=2)
+    finally:
+        state["counting"] = False
+    assert len(results) == 4
+    assert state["forks"] == 2

@@ -1,4 +1,4 @@
-"""Isolated-job execution and the runner's guarded timeout/retry path."""
+"""Isolated-job execution and the runner's timeout/retry policy."""
 
 from __future__ import annotations
 
@@ -76,39 +76,42 @@ def test_guarded_sweep_is_bit_identical_to_plain():
 
 
 def test_retries_recover_from_transient_failures(monkeypatch):
-    from repro.sim.runner import executor
+    """``retries`` is the policy's attempt budget: two failed attempts
+    wait out its backoff, the third succeeds with the unchanged result."""
+    from repro.sim.campaign import worker
 
-    real = executor.run_job_isolated
     calls = []
 
-    def flaky(job, timeout=None, execute=None):
+    def flaky(job):
         calls.append(job)
         if len(calls) <= 2:
             raise JobExecutionError("transient infrastructure failure")
-        return real(job, timeout)
+        return simulate(job.system, job.workload, job.params)
 
-    monkeypatch.setattr(executor, "run_job_isolated", flaky)
-    runner = SweepRunner(jobs=1, timeout=300.0, retries=2, retry_backoff=0.01)
+    monkeypatch.setattr(worker, "default_execute", flaky)
     job = tiny_job()
-    results = runner.run([job])
+    results = SweepRunner(jobs=1, retries=2).run([job])
     assert len(results) == 1 and len(calls) == 3
-    assert runner.retried_jobs == 2
     assert results_digest(results) == results_digest(
         [simulate(job.system, job.workload, job.params)]
     )
 
 
 def test_exhausted_retries_raise(monkeypatch):
-    from repro.sim.runner import executor
+    from repro.sim.campaign import worker
 
-    def always_broken(job, timeout=None, execute=None):
-        raise JobExecutionError("permanently broken")
+    calls = []
 
-    monkeypatch.setattr(executor, "run_job_isolated", always_broken)
-    runner = SweepRunner(jobs=1, timeout=1.0, retries=1, retry_backoff=0.01)
-    with pytest.raises(JobExecutionError, match="permanently broken"):
+    def always_broken(job):
+        calls.append(job)
+        raise ValueError("permanently broken")
+
+    monkeypatch.setattr(worker, "default_execute", always_broken)
+    runner = SweepRunner(jobs=1, retries=1)
+    with pytest.raises(JobExecutionError, match="permanently broken") as excinfo:
         runner.run([tiny_job()])
-    assert runner.retried_jobs == 1
+    assert "after 2 attempt(s)" in str(excinfo.value)
+    assert len(calls) == 2
 
 
 def test_guard_knob_validation():

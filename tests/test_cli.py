@@ -402,3 +402,44 @@ def test_serve_until_done(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "campaign service on http://" in err
     assert "campaign srv: 1/1 done, 0 dead-lettered" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--workloads", "MP3", "--timeout", "0"],
+         "repro sweep: timeout must be positive"),
+        (["sweep", "--workloads", "MP3", "--retries", "-1"],
+         "repro sweep: retries must be >= 0"),
+        (["submit", "--workloads", "MP3", "--timeout", "0"],
+         "repro submit: timeout must be positive"),
+        (["worker", "--once", "--timeout", "-2"],
+         "repro worker: timeout must be positive"),
+        (["serve", "--until-done", "done", "--timeout", "0"],
+         "repro serve: timeout must be positive"),
+    ],
+)
+def test_bad_policy_exits_2_with_a_message(tmp_path, capsys, argv, message):
+    from repro.sim.campaign import CampaignStore
+
+    from tests.campaign.conftest import job_pool
+
+    # A finished campaign, so a command that accepted the policy would
+    # return promptly instead of serving or polling forever.
+    store_path = tmp_path / "campaign.sqlite"
+    store = CampaignStore(store_path)
+    store.submit("done", job_pool(1))
+    store.lease("w", "done")
+    store.complete("done", 0, "w")
+    store.close()
+    argv = argv + ["--store", str(store_path)]
+    if argv[0] in ("worker", "serve"):
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
