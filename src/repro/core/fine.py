@@ -181,6 +181,9 @@ class FineWriteEngine:
             self.begin_inflight(
                 req, start, completion, decoded, hold_completion=True
             )
+            # Step 2 grows the window at data_end, possibly after the
+            # controller has closed it: hold it out of retirement till then.
+            window.held = True
 
             def _step_two() -> None:
                 pcc_end = self.issue_code_update(
@@ -189,6 +192,7 @@ class FineWriteEngine:
                 final = max(completion, pcc_end)
                 window.extend(final)
                 window.note_service_end(final)
+                window.held = False
                 c.engine.call_at(final, c._complete_write, req)
 
             c.engine.call_at(data_end, _step_two)

@@ -124,7 +124,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None
         rank = c.ranks[decoded.rank]
-        chips = c._coarse_write_chips(decoded)
+        chips = c.coarse_chips
         start = max(now, rank.write_ready_time(chips, decoded.bank))
         _bus_start, bus_end = c.bus.reserve(BusDirection.WRITE, start)
         array_start = bus_end
@@ -166,7 +166,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None
         rank = c.ranks[decoded.rank]
-        chips = c._coarse_write_chips(decoded)
+        chips = c.coarse_chips
         quantum = min(self._quantum_ticks, remaining)
         end = seg_start + quantum
         rank.log_label = f"Wr-{req.req_id}"
@@ -216,7 +216,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         paused = self._paused
         assert paused is not None
         rank = c.ranks[paused.decoded.rank]
-        chips = c._coarse_write_chips(paused.decoded)
+        chips = c.coarse_chips
         ready = rank.write_ready_time(chips, paused.decoded.bank)
         if ready > now:
             c._note_wake(ready)

@@ -104,6 +104,12 @@ class MemoryController:
         self.detector = EssentialWordDetector(storage)
         self.stats = MemoryStats()
         self.irlp = IrlpRecorder()
+        #: Every chip a baseline (coarse) write reserves: all data chips
+        #: plus ECC.  The same for every line, so built once.
+        coarse_chips = tuple(range(config.geometry.data_chips))
+        if config.geometry.has_ecc_chip:
+            coarse_chips += (config.geometry.ecc_chip_index,)
+        self.coarse_chips: Tuple[int, ...] = coarse_chips
         self.rng = random.Random(seed * 7919 + channel_id)
 
         self.drain = False
@@ -450,35 +456,35 @@ class MemoryController:
         is armed and the step yields).  ``PCMapController`` overrides this
         with oldest-*ready*-first selection over fine-grained chip sets.
         """
-        head = next(
-            (req for req in self.write_q.pending if req.start_service < 0),
-            None,
-        )
-        if head is None:
+        for head in self.write_q.pending:
+            if head.start_service < 0:
+                break
+        else:
             return None
         decoded = head.decoded
         if decoded is None:
             decoded = self.mapper.decode(head.address)
         rank = self.ranks[decoded.rank]
-        chips = self._coarse_write_chips(decoded)
-        ready = rank.write_ready_time(chips, decoded.bank)
+        # The coarse ready time is a pure function of rank state: stamp
+        # it with the rank version, as the PCMap candidate scan does, so
+        # wake-up rescans of an unchanged rank skip the chip scan.
+        version = rank.version
+        cached = head.ready_cache
+        if cached is not None and cached[0] == version:
+            ready = cached[1]
+        else:
+            ready = rank.write_ready_time(self.coarse_chips, decoded.bank)
+            head.ready_cache = (version, ready)
         if ready > now:
             self._note_wake(ready)
             return None
         return WriteContext(now, head, decoded)
 
-    def _coarse_write_chips(self, decoded: DecodedAddress) -> Tuple[int, ...]:
-        """All chips a baseline write reserves (every data chip + ECC)."""
-        chips = tuple(range(self.geometry.data_chips))
-        if self.geometry.has_ecc_chip:
-            chips += (self.geometry.ecc_chip_index,)
-        return chips
-
     def _issue_coarse_write(
         self, req: MemoryRequest, decoded: DecodedAddress, now: int
     ) -> None:
         rank = self.ranks[decoded.rank]
-        chips = self._coarse_write_chips(decoded)
+        chips = self.coarse_chips
         start = max(now, rank.write_ready_time(chips, decoded.bank))
         _bus_start, bus_end = self.bus.reserve(BusDirection.WRITE, start)
         # The word-write latency is all-inclusive: the differential
@@ -588,13 +594,22 @@ class MemoryController:
 
     def _prune_windows(self) -> None:
         # Runs every kick; rebuild the list only when something expired.
+        # Expired windows take no more activity; the recorder retires
+        # them once no deferred step still holds them.
         windows = self._open_windows
         if not windows:
             return
         now = self.engine.now
         for window in windows:
             if window.end <= now:
-                self._open_windows = [w for w in windows if w.end > now]
+                kept = []
+                for w in windows:
+                    if w.end > now:
+                        kept.append(w)
+                    else:
+                        w.closed = True
+                self._open_windows = kept
+                self.irlp.retire()
                 return
 
     def _record_activity(

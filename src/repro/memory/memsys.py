@@ -115,23 +115,20 @@ class MainMemory:
             total.merge(controller.stats)
         return total
 
+    def _irlp_values(self) -> List[float]:
+        """Every channel's window IRLPs, in controller then creation order."""
+        values: List[float] = []
+        for controller in self.controllers:
+            values.extend(controller.irlp.values())
+        return values
+
     def irlp_average(self) -> float:
         """Mean IRLP over all write windows of all channels."""
-        values = [
-            window.irlp()
-            for controller in self.controllers
-            for window in controller.irlp.windows
-            if window.duration > 0
-        ]
+        values = self._irlp_values()
         return sum(values) / len(values) if values else 0.0
 
     def irlp_max(self) -> float:
-        values = [
-            window.irlp()
-            for controller in self.controllers
-            for window in controller.irlp.windows
-            if window.duration > 0
-        ]
+        values = self._irlp_values()
         return max(values) if values else 0.0
 
     def write_service_busy_ticks(self) -> int:

@@ -7,12 +7,16 @@ write service window is open.  The controller opens a
 attributes chip activity intervals — the dirty-word writes themselves plus
 any reads overlapped by RoW — to the window.  ECC/PCC update activity is
 deliberately excluded so the metric tops out at 8.0, matching the paper.
+Each channel's :class:`IrlpRecorder` folds a window into summary columns
+once it can no longer change, so a run keeps only its live windows.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import ticks_to_ns
 
@@ -41,7 +45,51 @@ def merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 MAX_IRLP = 8
 
 
-@dataclass
+def clipped_activity(
+    activities: List[Tuple[int, int, int]], start: int, end: int
+) -> Dict[int, List[Tuple[int, int]]]:
+    """Per-chip ``activities`` intervals clipped to [start, end), empty ones dropped."""
+    per_chip: Dict[int, List[Tuple[int, int]]] = {}
+    for chip, a_start, a_end in activities:
+        if a_start < start:
+            a_start = start
+        if a_end > end:
+            a_end = end
+        if a_end > a_start:
+            intervals = per_chip.get(chip)
+            if intervals is None:
+                per_chip[chip] = [(a_start, a_end)]
+            else:
+                intervals.append((a_start, a_end))
+    return per_chip
+
+
+def capped_busy_ticks(
+    per_chip: Dict[int, List[Tuple[int, int]]], start: int, end: int
+) -> int:
+    """Busy chip-ticks over [start, end), the chip count capped at MAX_IRLP.
+
+    Sweeps the chip-count changes so the instantaneous count can be
+    capped; ``per_chip`` holds intervals already clipped to the span.
+    """
+    events: List[Tuple[int, int]] = []
+    for intervals in per_chip.values():
+        for i_start, i_end in merge_intervals(intervals):
+            events.append((i_start, +1))
+            events.append((i_end, -1))
+    events.sort()
+    busy = 0
+    count = 0
+    previous = start
+    for time, delta in events:
+        busy += min(count, MAX_IRLP) * (time - previous)
+        count += delta
+        previous = time
+    busy += min(count, MAX_IRLP) * (end - previous)
+    return busy
+
+
+@dataclass(slots=True)
 class WriteWindow:
     """One write service window and the chip activity inside it."""
 
@@ -52,11 +100,17 @@ class WriteWindow:
     service_end: int = -1
     #: (chip, start, end) data-word activity intervals.
     activities: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: Set once the controller stops attributing activity to the window
+    #: (a prune found ``end <= now``).
+    closed: bool = False
+    #: Set while a deferred step (RoW's PCC update) will still grow the
+    #: window; a closed window is final only once this clears.
+    held: bool = False
     #: Memoised ``irlp()`` result: ((start, end, len(activities)), value).
     #: Activities only ever append and the span only moves via the
     #: mutators below, so that triple is a complete mutation stamp; the
     #: time-series sampler re-reads recent windows every cadence tick and
-    #: would otherwise re-run the interval sweep on unchanged windows.
+    #: would otherwise re-clip unchanged windows.
     _irlp_cache: Optional[Tuple[Tuple[int, int, int], float]] = field(
         default=None, repr=False, compare=False
     )
@@ -101,62 +155,108 @@ class WriteWindow:
         The cap matches the paper's definition: at most the eight data
         words of any line are in flight, even though a reconstruction read
         plus a trailing write can momentarily touch nine physical chips.
+        While at most MAX_IRLP distinct chips are busy the cap cannot
+        bind, so the busy chip-time is each chip's merged busy time,
+        summed: the same integer :func:`capped_busy_ticks` sweeps to.
         """
-        if self.duration <= 0:
+        start, end = self.start, self.end
+        if end <= start:
             return 0.0
-        stamp = (self.start, self.end, len(self.activities))
-        if self._irlp_cache is not None and self._irlp_cache[0] == stamp:
-            return self._irlp_cache[1]
-        per_chip: Dict[int, List[Tuple[int, int]]] = {}
-        for chip, start, end in self.activities:
-            clipped = (max(start, self.start), min(end, self.end))
-            if clipped[1] > clipped[0]:
-                per_chip.setdefault(chip, []).append(clipped)
-        # Sweep chip-count changes so the instantaneous count can be capped.
-        events: List[Tuple[int, int]] = []
-        for intervals in per_chip.values():
-            for start, end in merge_intervals(intervals):
-                events.append((start, +1))
-                events.append((end, -1))
-        events.sort()
-        busy = 0
-        count = 0
-        previous = self.start
-        for time, delta in events:
-            busy += min(count, MAX_IRLP) * (time - previous)
-            count += delta
-            previous = time
-        busy += min(count, MAX_IRLP) * (self.end - previous)
-        value = busy / self.duration
+        stamp = (start, end, len(self.activities))
+        cache = self._irlp_cache
+        if cache is not None and cache[0] == stamp:
+            return cache[1]
+        per_chip = clipped_activity(self.activities, start, end)
+        if len(per_chip) > MAX_IRLP:
+            busy = capped_busy_ticks(per_chip, start, end)
+        else:
+            busy = 0
+            for intervals in per_chip.values():
+                if len(intervals) == 1:
+                    i_start, i_end = intervals[0]
+                    busy += i_end - i_start
+                else:
+                    for i_start, i_end in merge_intervals(intervals):
+                        busy += i_end - i_start
+        value = busy / (end - start)
         self._irlp_cache = (stamp, value)
         return value
 
 
+#: Windows the ``irlp.recent`` sampler probe reads per channel.
+RECENT_WINDOWS = 4
+
+
 class IrlpRecorder:
-    """Collects write windows and summarises IRLP."""
+    """Streams one channel's write windows into compact columns.
+
+    Windows live in a creation-ordered queue until they are sealed:
+    closed by the controller's prune and no longer held by a deferred
+    step.  Sealed windows retire from the head of the queue (a younger
+    sealed window waits behind an older live one), so the retired
+    columns followed by the live windows are always in creation order,
+    and every summary reads the same values in the same order as a scan
+    over all windows would.
+    """
 
     def __init__(self) -> None:
-        self.windows: List[WriteWindow] = []
+        self._live: Deque[WriteWindow] = deque()
+        #: The last :data:`RECENT_WINDOWS` windows opened, live or retired.
+        self.recent: Deque[WriteWindow] = deque(maxlen=RECENT_WINDOWS)
+        #: IRLP of each retired window with a positive duration.
+        self._irlp = array("d")
+        #: ``(start, busy_end)`` of each retired window with service time.
+        self._span_starts = array("q")
+        self._span_ends = array("q")
 
     def open_window(self, start: int, end: int) -> WriteWindow:
         window = WriteWindow(start, end)
-        self.windows.append(window)
+        self._live.append(window)
+        self.recent.append(window)
         return window
+
+    @property
+    def live_count(self) -> int:
+        """Windows opened and not yet retired."""
+        return len(self._live)
+
+    def retire(self) -> None:
+        """Fold the sealed windows at the head of the live queue."""
+        live = self._live
+        while live:
+            window = live[0]
+            if not window.closed or window.held:
+                return
+            live.popleft()
+            start = window.start
+            if window.end > start:
+                self._irlp.append(window.irlp())
+            busy_end = window.busy_end
+            if busy_end > start:
+                self._span_starts.append(start)
+                self._span_ends.append(busy_end)
+
+    def values(self) -> List[float]:
+        """IRLP of every window with a positive duration, in creation order."""
+        values = self._irlp.tolist()
+        values.extend(w.irlp() for w in self._live if w.duration > 0)
+        return values
 
     def average(self) -> float:
         """Mean IRLP across windows (0 when no writes were serviced)."""
-        values = [w.irlp() for w in self.windows if w.duration > 0]
+        values = self.values()
         return sum(values) / len(values) if values else 0.0
 
     def maximum(self) -> float:
-        values = [w.irlp() for w in self.windows if w.duration > 0]
+        values = self.values()
         return max(values) if values else 0.0
 
     def drain_busy_ticks(self) -> int:
         """Union duration of all write service spans (incl. ECC/PCC tails)."""
-        spans = [
-            (w.start, w.busy_end) for w in self.windows if w.busy_end > w.start
-        ]
+        spans = list(zip(self._span_starts, self._span_ends))
+        spans.extend(
+            (w.start, w.busy_end) for w in self._live if w.busy_end > w.start
+        )
         return sum(end - start for start, end in merge_intervals(spans))
 
 

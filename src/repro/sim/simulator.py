@@ -235,14 +235,14 @@ class SystemSimulator:
         return sampler
 
     def _recent_irlp(self) -> float:
-        """Mean IRLP over each channel's most recent write windows.
+        """Mean IRLP over the last few write windows opened per channel.
 
         Bounded to a handful of windows per channel so the probe stays
         O(1)-ish per sample even on write-heavy runs.
         """
         values = []
         for controller in self.memory.controllers:
-            for window in controller.irlp.windows[-4:]:
+            for window in controller.irlp.recent:
                 if window.duration > 0:
                     values.append(window.irlp())
         return sum(values) / len(values) if values else 0.0

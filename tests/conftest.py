@@ -2,7 +2,7 @@
 
 import random
 import zlib
-from typing import List
+from typing import Dict, List
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.core.systems import make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import MemoryRequest, make_read, make_write
 from repro.sim.engine import Engine
+from repro.sim.metrics import IrlpRecorder, WriteWindow
 
 try:  # Deterministic hypothesis runs: no random example order, no
     # wall-clock deadline flakes; every rerun explores the same cases.
@@ -88,3 +89,39 @@ def pcmap():
 
 def harness(system_name: str, **overrides) -> ControllerHarness:
     return ControllerHarness(system_name, **overrides)
+
+
+class WindowCapture:
+    """Every write window opened while capturing, kept past retirement.
+
+    Recorders fold sealed windows into summary columns and drop them, so
+    tests that inspect individual windows after a run read them here.
+    """
+
+    def __init__(self) -> None:
+        #: All windows, in opening order across recorders.
+        self.windows: List[WriteWindow] = []
+        self._by_recorder: Dict[int, List[WriteWindow]] = {}
+
+    def of(self, recorder: IrlpRecorder) -> List[WriteWindow]:
+        """Windows ``recorder`` opened, in creation order."""
+        return self._by_recorder.get(id(recorder), [])
+
+    def note(self, recorder: IrlpRecorder, window: WriteWindow) -> None:
+        self.windows.append(window)
+        self._by_recorder.setdefault(id(recorder), []).append(window)
+
+
+@pytest.fixture
+def window_capture(monkeypatch) -> WindowCapture:
+    """Capture every :meth:`IrlpRecorder.open_window` for the test's span."""
+    capture = WindowCapture()
+    open_window = IrlpRecorder.open_window
+
+    def capturing_open_window(self, start, end):
+        window = open_window(self, start, end)
+        capture.note(self, window)
+        return window
+
+    monkeypatch.setattr(IrlpRecorder, "open_window", capturing_open_window)
+    return capture

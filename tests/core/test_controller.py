@@ -49,13 +49,13 @@ def test_fine_write_blocks_only_its_chips():
     assert w.completion > 0
 
 
-def test_silent_write_fast_and_windowed():
+def test_silent_write_fast_and_windowed(window_capture):
     h = harness("rwow-rde")
     req = h.write(0, 0)
     h.run()
     assert req.service_class is ServiceClass.SILENT
     assert req.latency <= DEFAULT_TIMING.array_write_ticks
-    windows = h.controller.irlp.windows
+    windows = window_capture.of(h.controller.irlp)
     assert len(windows) == 1
     assert windows[0].irlp() == 0.0
 
@@ -190,15 +190,17 @@ def test_rollback_rate_zero_never_rolls_back():
     assert h.controller.stats.rollbacks == 0
 
 
-def test_ecc_contention_serialises_fixed_layout_groups():
+def test_ecc_contention_serialises_fixed_layout_groups(window_capture):
     """Without rotation every member updates ECC chip 8: the group's
     service end stretches (Figure 5(d)), visible as service_end > end."""
     h = harness("wow-nr")
     for i in range(28):
         h.write(i, 1 << (i % 8))
     h.run()
+    windows = window_capture.of(h.controller.irlp)
+    assert windows
     grouped = [
-        w for w in h.controller.irlp.windows
+        w for w in windows
         if w.duration > int(1.3 * DEFAULT_TIMING.array_write_ticks)
     ]
     assert grouped, "expected ECC-tail-stretched windows in wow-nr"

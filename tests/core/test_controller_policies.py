@@ -136,7 +136,7 @@ def test_mid_window_read_joins_open_window():
 # ----------------------------------------------------------------------
 # Engine-token serialisation
 # ----------------------------------------------------------------------
-def test_write_engine_serialises_groups():
+def test_write_engine_serialises_groups(window_capture):
     h = harness("rwow-rde")
     for i in range(28):
         h.write(i, 0b1)
@@ -145,9 +145,10 @@ def test_write_engine_serialises_groups():
     # structure: consecutive window starts are separated by at least one
     # quantum of array work.
     windows = sorted(
-        (w for w in h.controller.irlp.windows if w.duration > 0),
+        (w for w in window_capture.of(h.controller.irlp) if w.duration > 0),
         key=lambda w: w.start,
     )
+    assert windows
     for a, b in zip(windows, windows[1:]):
         assert b.start >= a.start  # sorted sanity
     assert h.all_done()

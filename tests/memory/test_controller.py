@@ -83,11 +83,13 @@ def test_drain_delays_reads():
     assert h.controller.stats.reads_delayed_by_write >= 1
 
 
-def test_baseline_irlp_equals_dirty_count():
+def test_baseline_irlp_equals_dirty_count(window_capture):
     h = harness("baseline")
     h.write(0, 0b111)  # 3 dirty words
     h.run()
-    windows = [w for w in h.controller.irlp.windows if w.duration > 0]
+    windows = [
+        w for w in window_capture.of(h.controller.irlp) if w.duration > 0
+    ]
     assert len(windows) == 1
     assert windows[0].irlp() == pytest.approx(3.0)
 

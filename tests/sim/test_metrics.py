@@ -1,6 +1,7 @@
 """Unit tests for IRLP windows and statistics containers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.metrics import (
     IrlpRecorder,
@@ -8,6 +9,8 @@ from repro.sim.metrics import (
     MemoryStats,
     SimulationResult,
     WriteWindow,
+    capped_busy_ticks,
+    clipped_activity,
     merge_intervals,
 )
 
@@ -120,6 +123,56 @@ def test_busy_end_defaults_to_window_end():
     assert WriteWindow(0, 100).busy_end == 100
 
 
+#: A narrow tick range so intervals overlap often and run out of the span.
+_ticks = st.integers(min_value=-5, max_value=45)
+#: Any interval (empty and inverted ones included), or one spanning the
+#: middle of the range so that nine or ten chips are busy at once.
+_interval = st.one_of(
+    st.tuples(_ticks, _ticks),
+    st.tuples(
+        st.integers(min_value=-5, max_value=20),
+        st.integers(min_value=20, max_value=45),
+    ),
+)
+
+
+@given(
+    span=st.one_of(
+        st.tuples(_ticks, _ticks),
+        st.just((-1, -1)),  # placeholder, defined by the first absorb
+    ),
+    absorbs=st.lists(_interval, max_size=3),
+    #: Intervals of chip i at index i: 1-10 distinct chips, each possibly
+    #: busy more than once.
+    chip_intervals=st.lists(
+        st.lists(_interval, min_size=1, max_size=3), min_size=1, max_size=10
+    ),
+)
+@settings(max_examples=400)
+def test_irlp_fast_path_equals_capped_sweep(span, absorbs, chip_intervals):
+    """Windows over more than MAX_IRLP chips take the capped sweep; the
+    rest must give the sweep's value to the last bit."""
+    window = WriteWindow(*span)
+    for chip, intervals in enumerate(chip_intervals):
+        for start, end in intervals:
+            window.add_activity(chip, start, end)
+    for start, end in absorbs:
+        window.absorb(start, end)
+    duration = window.end - window.start
+    if duration <= 0:
+        assert window.irlp() == 0.0
+        return
+    per_chip = clipped_activity(window.activities, window.start, window.end)
+    swept = capped_busy_ticks(per_chip, window.start, window.end)
+    assert window.irlp() == swept / duration
+    assert 0.0 <= window.irlp() <= MAX_IRLP
+
+
+def test_capped_sweep_binds_above_max_irlp_chips():
+    per_chip = {chip: [(0, 10)] for chip in range(MAX_IRLP + 2)}
+    assert capped_busy_ticks(per_chip, 0, 10) == MAX_IRLP * 10
+
+
 # ----------------------------------------------------------------------
 # IrlpRecorder
 # ----------------------------------------------------------------------
@@ -139,6 +192,32 @@ def test_recorder_empty_average_is_zero():
     recorder = IrlpRecorder()
     assert recorder.average() == 0.0
     assert recorder.maximum() == 0.0
+
+
+def test_recorder_retires_sealed_windows_in_creation_order():
+    recorder = IrlpRecorder()
+    first = recorder.open_window(0, 100)
+    first.add_activity(0, 0, 100)
+    second = recorder.open_window(50, 150)
+    second.add_activity(1, 50, 150)
+    second.add_activity(2, 50, 150)
+    first.closed = second.closed = True
+    first.held = True  # a deferred step still grows it
+    recorder.retire()
+    assert recorder.live_count == 2  # the sealed second waits behind it
+    first.extend(200)
+    first.held = False
+    recorder.retire()
+    assert recorder.live_count == 0
+    assert recorder.values() == [0.5, 2.0]
+    assert recorder.drain_busy_ticks() == 200
+    assert list(recorder.recent) == [first, second]
+
+
+def test_recorder_recent_keeps_last_windows_opened():
+    recorder = IrlpRecorder()
+    windows = [recorder.open_window(i, i + 1) for i in range(6)]
+    assert list(recorder.recent) == windows[-4:]
 
 
 def test_drain_busy_ticks_unions_service_spans():
