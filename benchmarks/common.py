@@ -137,11 +137,11 @@ def telemetry_summary(runs: Iterable[object]) -> str:
     Accepts any mix of :class:`~repro.sim.metrics.SimulationResult`,
     :class:`~repro.sim.experiment.SystemComparison` and bare
     :class:`~repro.telemetry.RunProfile` items; merges the per-run
-    profiles (events dispatched, wall seconds) into one line so every
-    benchmark report ends with its simulation cost — the number that
-    makes hot-path regressions visible across report revisions.  Results
-    served from the sweep cache contribute the recorded cost of the run
-    that originally produced them.
+    profiles (events dispatched, wall seconds) into one line.  The line
+    is wall-clock, so :func:`write_report` prints it but keeps it out of
+    the committed report; host cost is measured by ``perfbench/run.py``.
+    Results served from the sweep cache contribute the recorded cost of
+    the run that originally produced them.
     """
     merged = RunProfile()
     count = 0
@@ -166,15 +166,18 @@ def write_report(
 ) -> str:
     """Persist a benchmark's report (atomically); returns the path.
 
-    When ``runs`` is given, the merged :func:`telemetry_summary` line is
-    appended to the report so the simulation cost is archived with it.
+    The file holds only what the simulations determine, so regenerating
+    a report leaves it diff-clean.  When ``runs`` is given, the merged
+    :func:`telemetry_summary` line follows the printed report on stdout
+    (visible with ``pytest -s``) and is not written to the file.
     """
-    if runs is not None:
-        text = f"{text}\n\n{telemetry_summary(runs)}"
     path = os.path.join(_RESULTS_DIR, f"{name}.txt")
     atomic_write_text(path, text + "\n")
     print()
     print(text)
+    if runs is not None:
+        print()
+        print(telemetry_summary(runs))
     return path
 
 

@@ -1,8 +1,9 @@
-"""Hot-path microbenchmarks (codec, storage, engine dispatch, end-to-end).
+"""Same-process perf gates that whole-run benchmarking does not cover.
 
-Thin pytest wrappers over :mod:`repro.perf`: each module runs one suite
-member at full budget, writes its report to ``benchmarks/results/``, and
-asserts the machine-independent regression floors.  ``bench_suite``
-additionally refreshes the committed ``BENCH_perf.json``.  The same
-measurements back the ``repro perf`` CLI command (see docs/PERFORMANCE.md).
+``bench_codec_gate`` holds the SECDED codec's fast paths to floors over
+their in-process references; ``bench_timeseries_gate`` holds the
+time-series sampler's overhead under a ceiling.  Both are plain pytest
+tests at full budgets (``python -m pytest benchmarks/perf -q``).  Host
+cost of whole simulations, split by layer, is measured by
+``perfbench/run.py`` (see docs/PERFORMANCE.md).
 """

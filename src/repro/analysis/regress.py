@@ -1,12 +1,12 @@
 """Cross-run regression sentinel (``repro regress``).
 
 Pins a *metrics fingerprint* — a curated set of end-of-run metrics from
-one deterministic reference simulation (the perf suite's
-rwow-rde/canneal run) — into ``benchmarks/results/BENCH_perf.json`` and
-diffs fresh runs against it with per-metric tolerance bands.  Counters
-and engine fingerprints are integer-deterministic for a given (seed,
-budget), so their band is exact; float metrics get a hair of relative
-tolerance for arithmetic-order differences.
+one deterministic reference simulation (rwow-rde/canneal) — into
+``benchmarks/results/fingerprints.json`` and diffs fresh runs against it
+with per-metric tolerance bands.  Counters and engine fingerprints are
+integer-deterministic for a given (seed, budget), so their band is
+exact; float metrics get a hair of relative tolerance for
+arithmetic-order differences.
 
 The fingerprint run samples at the default cadence with metrics
 collection on, so it simultaneously pins the acceptance guarantee that
@@ -26,9 +26,11 @@ from typing import Dict, List, Optional, Union
 from repro.sim.metrics import SimulationResult
 from repro.telemetry.timeseries import DEFAULT_CADENCE_TICKS
 
-#: The reference configuration, matching the perf suite's end_to_end
-#: benchmark (full budget) so the pinned engine fingerprints are the
-#: same numbers BENCH_perf.json already tracks.
+#: The committed pinned legs, relative to the repository root; the file
+#: ``repro regress`` reads and ``repro regress --update`` writes.
+BASELINE_PATH = Path("benchmarks", "results", "fingerprints.json")
+
+#: The reference configuration of every pinned leg.
 FINGERPRINT_SEED = 7
 FULL_TARGET_REQUESTS = 3000
 SMOKE_TARGET_REQUESTS = 600
@@ -168,7 +170,7 @@ def collect_frontend_fingerprint(
 
 
 def collect_fingerprints(seed: int = FINGERPRINT_SEED) -> dict:
-    """Every pinned leg, keyed by budget — what BENCH_perf.json carries.
+    """Every pinned leg, keyed by budget — what the baseline file carries.
 
     ``smoke``/``full`` are the historical direct-path legs;
     ``frontend_smoke``/``frontend_full`` run the same reference
@@ -259,14 +261,14 @@ def format_comparison(
 def load_baseline(
     path: Union[str, Path], smoke: bool, frontend: bool = False
 ) -> dict:
-    """The pinned fingerprint for one budget/leg from BENCH_perf.json."""
+    """The pinned fingerprint for one budget/leg of a baseline file."""
     with open(path) as handle:
         payload = json.load(handle)
     section = payload.get("metrics_fingerprint")
     if not section:
         raise ValueError(
             f"{path} has no metrics_fingerprint section; run "
-            f"`repro regress --update` (or regenerate the perf suite)"
+            f"`repro regress --update`"
         )
     key = ("frontend_" if frontend else "") + ("smoke" if smoke else "full")
     if key not in section:
@@ -275,14 +277,18 @@ def load_baseline(
 
 
 def update_baseline(path: Union[str, Path], seed: int = FINGERPRINT_SEED) -> dict:
-    """Re-pin every budget/leg fingerprint in BENCH_perf.json (atomic)."""
+    """Re-pin every budget/leg fingerprint in a baseline file (atomic).
+
+    The fingerprints go under ``metrics_fingerprint``; any other keys
+    already in the file are kept.
+    """
     from repro.sim.results_io import atomic_write_text
 
     path = Path(path)
     payload = json.loads(path.read_text()) if path.exists() else {}
     fingerprints = collect_fingerprints(seed)
     payload["metrics_fingerprint"] = fingerprints
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=False))
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
     return fingerprints
 
 

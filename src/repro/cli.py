@@ -28,16 +28,8 @@ Commands::
         [--requests N] [--jobs N]
     python -m repro regress [--smoke] [--update] [--selftest] \\
         [--baseline FILE]
-    python -m repro perf [--seed N] [--smoke] [--json] [--out FILE] [--check]
     python -m repro faults [--workload W] [--system S] [--seed N] \\
         [--smoke] [--json] [--out report.json] [--selftest] [--convergence]
-
-``perf`` runs the tracked hot-path microbenchmark suite (codec, storage,
-engine dispatch, one end-to-end run, sampling overhead) and emits the
-seed- and git-stamped ``BENCH_perf.json`` payload; ``--check`` exits
-non-zero on gross (machine-independent) regressions and
-``REPRO_PERF_SMOKE=1`` (or ``--smoke``) shrinks the budgets for CI.  See
-docs/PERFORMANCE.md.
 
 ``submit``/``worker``/``serve``/``status`` drive the durable campaign
 service (SQLite job queue, leased workers with crash recovery, HTTP
@@ -53,7 +45,8 @@ registry and dumps every counter/gauge/histogram — a table for humans,
 time-series sampler on and emits lint-clean OpenMetrics text (plus an
 optional JSONL time-series).  ``report`` renders the self-contained HTML
 run report, ``regress`` diffs a fresh reference run against the metrics
-fingerprint pinned in ``BENCH_perf.json`` and exits non-zero on breach.
+fingerprint pinned in ``benchmarks/results/fingerprints.json`` and exits
+non-zero on breach.
 See docs/TELEMETRY.md.
 """
 
@@ -565,6 +558,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_regress(args: argparse.Namespace) -> int:
     """Diff a fresh reference run against the pinned metrics fingerprint."""
     from repro.analysis.regress import (
+        BASELINE_PATH,
         FINGERPRINT_SEED,
         collect_fingerprint,
         collect_frontend_fingerprint,
@@ -574,9 +568,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
         selftest,
         update_baseline,
     )
-    from repro.perf.suites import default_output_path
-
-    path = args.baseline or default_output_path()
+    path = args.baseline or BASELINE_PATH
     if args.selftest:
         failures = selftest()
         if failures:
@@ -609,32 +601,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
             print(f"REGRESS BREACH: {breach}", file=sys.stderr)
         return 1
     print("regression sentinel: no breaches")
-    return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Run the hot-path microbenchmark suite; optionally gate regressions."""
-    from repro.perf import check_payload, format_payload, run_suite
-    from repro.sim.results_io import atomic_write_text
-
-    smoke = args.smoke or bool(os.environ.get("REPRO_PERF_SMOKE"))
-    payload = run_suite(seed=args.seed, smoke=smoke)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(format_payload(payload))
-    if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
-        if not args.json:
-            print(f"\nwrote {args.out}")
-    if args.check:
-        failures = check_payload(payload)
-        if failures:
-            for failure in failures:
-                print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-            return 1
-        if not args.json:
-            print("perf check passed")
     return 0
 
 
@@ -989,8 +955,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff a reference run against the pinned metrics fingerprint",
     )
     regress_p.add_argument("--baseline",
-                           help="BENCH_perf.json holding the pinned "
-                                "fingerprint (default: the committed one)")
+                           help="JSON file holding the pinned "
+                                "fingerprints (default: "
+                                "benchmarks/results/fingerprints.json)")
     regress_p.add_argument("--smoke", action="store_true",
                            help="use the smoke-budget fingerprint (CI)")
     regress_p.add_argument("--frontend", action="store_true",
@@ -1003,23 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="plant a regression; the sentinel must "
                                 "detect it")
     regress_p.add_argument("--check", action="store_true",
-                           help="alias for the default compare mode "
-                                "(symmetry with `repro perf --check`)")
+                           help="alias for the default compare mode")
     regress_p.set_defaults(func=cmd_regress)
-
-    perf_p = sub.add_parser(
-        "perf", help="run the tracked hot-path microbenchmark suite"
-    )
-    perf_p.add_argument("--seed", type=int, default=7)
-    perf_p.add_argument("--smoke", action="store_true",
-                        help="small budgets for CI (also: REPRO_PERF_SMOKE=1)")
-    perf_p.add_argument("--json", action="store_true",
-                        help="emit the BENCH_perf.json payload to stdout")
-    perf_p.add_argument("--out",
-                        help="also write the payload to this file")
-    perf_p.add_argument("--check", action="store_true",
-                        help="exit non-zero on gross hot-path regressions")
-    perf_p.set_defaults(func=cmd_perf)
 
     faults_p = sub.add_parser(
         "faults",

@@ -5,7 +5,7 @@
 existing ``storage`` slot of :class:`~repro.memory.memsys.MainMemory`
 (and every controller) without touching their hot paths — a simulation
 built without it pays nothing, which is what keeps the golden traces and
-``BENCH_perf.json`` fingerprints byte-identical when faults are off.
+the ``repro regress`` fingerprints byte-identical when faults are off.
 
 With faults on, every ``read_line`` models what the memory controller's
 SECDED stage actually does on a 72-bit codeword read:

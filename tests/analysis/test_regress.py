@@ -1,6 +1,7 @@
 """Tests for the cross-run regression sentinel."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,7 +113,9 @@ def test_fingerprint_requires_collected_metrics():
 
 
 def test_baseline_file_round_trip(tmp_path, monkeypatch, smoke_fingerprint):
-    path = tmp_path / "BENCH_perf.json"
+    # A file that carries more than the fingerprints (the shape of the
+    # retired perf-suite payload) loads and re-pins in place.
+    path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"schema": 1, "suite": "perf"}))
     monkeypatch.setattr(
         regress, "collect_fingerprints",
@@ -129,7 +132,22 @@ def test_baseline_file_round_trip(tmp_path, monkeypatch, smoke_fingerprint):
 
 
 def test_load_baseline_explains_missing_section(tmp_path):
-    path = tmp_path / "BENCH_perf.json"
+    path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"schema": 1}))
     with pytest.raises(ValueError, match="metrics_fingerprint"):
         load_baseline(path, smoke=True)
+
+
+def test_committed_fingerprints_match_fresh_runs():
+    """All four committed legs, full budgets included, reproduce exactly."""
+    path = Path(__file__).resolve().parents[2] / regress.BASELINE_PATH
+    committed = json.loads(path.read_text())["metrics_fingerprint"]
+    fresh = regress.collect_fingerprints(regress.FINGERPRINT_SEED)
+    assert set(committed) == set(fresh) == {
+        "smoke", "full", "frontend_smoke", "frontend_full",
+    }
+    for leg, pinned in committed.items():
+        assert compare_fingerprints(pinned, fresh[leg]) == [], leg
+    full = committed["full"]["metrics"]
+    assert full["engine.events_dispatched"] == 6150
+    assert full["engine.sim_ticks"] == 364931

@@ -221,7 +221,7 @@ def test_regress_command_passes_then_breaches(tmp_path, capsys):
     from repro.analysis.regress import collect_fingerprint
 
     fingerprint = collect_fingerprint(smoke=True)
-    path = tmp_path / "BENCH_perf.json"
+    path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"metrics_fingerprint": {"smoke": fingerprint}}))
     assert main(["regress", "--smoke", "--baseline", str(path)]) == 0
     assert "no breaches" in capsys.readouterr().out
@@ -249,14 +249,14 @@ def test_regress_update_pins_baseline(tmp_path, capsys, monkeypatch):
         regress, "collect_fingerprints",
         lambda seed=7: {"smoke": {"config": {"seed": seed}, "metrics": {}}},
     )
-    path = tmp_path / "BENCH_perf.json"
+    path = tmp_path / "fingerprints.json"
     assert main(["regress", "--update", "--baseline", str(path)]) == 0
     assert "pinned" in capsys.readouterr().out
     assert "metrics_fingerprint" in json.loads(path.read_text())
 
 
 def test_regress_explains_missing_baseline_section(tmp_path, capsys):
-    path = tmp_path / "BENCH_perf.json"
+    path = tmp_path / "fingerprints.json"
     path.write_text("{}")
     assert main(["regress", "--baseline", str(path)]) == 1
     assert "metrics_fingerprint" in capsys.readouterr().err
