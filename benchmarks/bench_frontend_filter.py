@@ -13,19 +13,18 @@ filter a 4 000-request run to nothing): a capacity-starved cache is what
 makes the policies' reuse decisions visible.
 
 Acceptance pins: on the same seed-7 workload the three policies produce
-*differing*, *deterministic* hit rates, and the saved results embed the
+*differing*, *deterministic* hit rates, and saved results embed the
 ``frontend`` section of the results schema.
 """
 
 import json
-import os
 
 from repro.analysis import format_table
 from repro.core.systems import make_front_end, make_system
 from repro.sim.results_io import load_results, save_results
 from repro.sim.simulator import SimulationParams, simulate
 
-from benchmarks.common import _RESULTS_DIR, write_report
+from benchmarks.common import write_report
 
 #: One memory-intense seed-7 workload; rwow-rde (full PCMap) behind it.
 WORKLOAD = "canneal"
@@ -97,7 +96,7 @@ def _build_report(direct, tiered) -> str:
     )
 
 
-def test_frontend_filter(benchmark):
+def test_frontend_filter(benchmark, tmp_path):
     direct, tiered = benchmark.pedantic(_run_all, rounds=1, iterations=1)
     report = _build_report(direct, tiered)
     write_report(
@@ -121,8 +120,10 @@ def test_frontend_filter(benchmark):
         assert result.memory.reads_completed <= f["fills"]
         assert f["write_backs"] <= f["writes"] + f["fills"]
 
-    # Persist with the frontend section embedded in the results schema.
-    path = os.path.join(_RESULTS_DIR, "frontend_filter.json")
+    # Round-trip through the results schema with the frontend section
+    # embedded.  The file is scratch: its numbers are the report's, and
+    # the code version and platform it stamps would dirty a committed copy.
+    path = tmp_path / "frontend_filter.json"
     save_results(path, [direct] + [tiered[p] for p in POLICIES])
     with open(path) as handle:
         payload = json.load(handle)

@@ -2,8 +2,8 @@
 """Reproduce the paper's Figure 5: RoW and WoW scheduling timelines.
 
 Two micro-scenarios are driven through a single PCMap channel controller
-with chip-occupancy logging enabled, then rendered as ASCII chip-by-time
-grids comparable with Figure 5:
+with a recording tracer; the ``chip.reserve`` events of its trace are
+rendered as ASCII chip-by-time grids comparable with Figure 5:
 
 * **RoW** — a write with one essential word (cache line A) overlapped
   with two reads (lines B and C), whose missing words are reconstructed
@@ -19,6 +19,26 @@ from repro.core.systems import make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine, ticks_to_ns
+from repro.telemetry import EventType, ListSink, Telemetry
+
+
+def traced_controller(system_name):
+    """Channel-0 controller whose tracer records into a list sink."""
+    engine = Engine()
+    config = make_system(system_name)
+    sink = ListSink()
+    controller = make_controller(
+        engine, config, channel_id=0, telemetry=Telemetry.recording([sink])
+    )
+    return engine, config, controller, sink
+
+
+def reservations(sink):
+    """Rank 0's chip reservations, in emission order."""
+    return [
+        e for e in sink.events
+        if e.type is EventType.CHIP_RESERVE and e.rank == 0
+    ]
 
 
 def render_timeline(events, n_chips, title, tick_step=250):
@@ -28,11 +48,7 @@ def render_timeline(events, n_chips, title, tick_step=250):
 
 def row_scenario():
     """Figure 5(b): one-word write of A overlapped with reads of B and C."""
-    engine = Engine()
-    config = make_system("row-nr")
-    controller = make_controller(engine, config, channel_id=0)
-    rank = controller.ranks[0]
-    log = rank.enable_logging()
+    engine, config, controller, sink = traced_controller("row-nr")
 
     stride = 64 * config.geometry.n_channels  # stay on channel 0
     # Pre-fill the write queue over the drain watermark so the controller
@@ -47,8 +63,9 @@ def row_scenario():
     controller.submit(read_c)
     engine.run(max_events=100_000)
 
+    horizon = max(read_b.completion, read_c.completion) + 2000
     print(render_timeline(
-        [e for e in log if e.end <= max(read_b.completion, read_c.completion) + 2000],
+        [e for e in reservations(sink) if e.end <= horizon],
         config.geometry.chips_per_rank,
         "\n=== RoW (cf. Figure 5(b)): Write-A on chip 3 + ECC; reads B, C "
         "reconstruct word 3 from PCC ===",
@@ -62,11 +79,7 @@ def row_scenario():
 
 def wow_scenario():
     """Figure 5(d): three chip-disjoint writes consolidated by WoW."""
-    engine = Engine()
-    config = make_system("wow-nr")
-    controller = make_controller(engine, config, channel_id=0)
-    rank = controller.ranks[0]
-    log = rank.enable_logging()
+    engine, config, controller, sink = traced_controller("wow-nr")
 
     stride = 64 * config.geometry.n_channels
     # The Figure 5 example: A dirties words 2 and 5, B words 3 and 6,
@@ -87,7 +100,7 @@ def wow_scenario():
     engine.run(max_events=200_000)
 
     window_events = [
-        e for e in log
+        e for e in reservations(sink)
         if min(w.start_service for w in writes.values()) - 1000
         <= e.start <= max(w.completion for w in writes.values())
     ]

@@ -8,10 +8,8 @@ from repro.analysis.htmlreport import (
 from repro.analysis.timeline import (
     BarSeries,
     LineSeries,
-    occupancy_from_trace,
     occupancy_summary,
     render_occupancy,
-    render_trace_occupancy,
     svg_grouped_bars,
     svg_line_chart,
 )
@@ -32,10 +30,8 @@ __all__ = [
     "LineSeries",
     "svg_grouped_bars",
     "svg_line_chart",
-    "occupancy_from_trace",
     "occupancy_summary",
     "render_occupancy",
-    "render_trace_occupancy",
     "FigureSeries",
     "figure_report",
     "format_table",

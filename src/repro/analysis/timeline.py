@@ -1,16 +1,14 @@
 """Chip-occupancy timeline rendering (Figure-5-style ASCII grids).
 
-Controllers log chip reservations through
-:meth:`repro.memory.rank.RankState.enable_logging`; this module turns the
-logged :class:`~repro.memory.rank.OccupancyEvent` list into a
-one-row-per-chip, one-column-per-time-slice text grid, the visual the
-paper uses to explain RoW and WoW (Figure 5).
-
-The same grid can be rendered from a *recorded trace* instead of a live
-occupancy log: :func:`occupancy_from_trace` lifts the ``chip.reserve``
-events of a :class:`repro.telemetry.TraceEvent` stream (in-memory, or
-loaded back from a JSONL file) into occupancy events, and
-:func:`render_trace_occupancy` goes straight from trace to grid.
+The tracer is the only record of chip occupancy: with tracing on, every
+rank reservation emits one ``chip.reserve`` :class:`~repro.telemetry.TraceEvent`
+per reserved chip (``kind``, ``[start, end)``, ``req_id`` and a ``reason``
+such as ``code-update``).  This module turns that stream — recorded in
+memory with :meth:`repro.telemetry.Telemetry.recording` and a sink, or
+loaded back from a JSONL file — into a one-row-per-chip,
+one-column-per-time-slice text grid, the visual the paper uses to
+explain RoW and WoW (Figure 5).  Every other event type is ignored, and
+the optional ``channel``/``rank`` filters pick one rank's chips.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.memory.rank import OccupancyEvent
 from repro.sim.engine import ticks_to_ns
 from repro.telemetry import EventType, TraceEvent
 
@@ -29,30 +26,51 @@ from repro.telemetry import EventType, TraceEvent
 _PRECEDENCE = {"W": 3, "c": 2, "R": 1, ".": 0}
 
 
-def event_mark(event: OccupancyEvent) -> str:
-    """Grid mark for one event: W=data write, c=code update, R=read."""
-    if event.label == "code-update":
+def event_mark(event: TraceEvent) -> str:
+    """Grid mark for one reservation: W=data write, c=code update, R=read."""
+    if event.reason == "code-update":
         return "c"
     if event.kind == "write":
         return "W"
     return "R"
 
 
+def _reservations(
+    events: Iterable[TraceEvent],
+    channel: Optional[int],
+    rank: Optional[int],
+) -> List[TraceEvent]:
+    """The ``chip.reserve`` events with a known, non-empty span.
+
+    ``channel``/``rank`` filter to one resource domain (``None`` keeps
+    all, which only makes sense for single-rank harness runs).
+    """
+    return [
+        e for e in events
+        if e.type is EventType.CHIP_RESERVE
+        and (channel is None or e.channel == channel)
+        and (rank is None or e.rank == rank)
+        and e.start >= 0 and e.end > e.start
+    ]
+
+
 def render_occupancy(
-    events: Iterable[OccupancyEvent],
+    events: Iterable[TraceEvent],
     n_chips: int,
     title: str = "",
     tick_step: int = 250,
     chip_names: Optional[Sequence[str]] = None,
+    channel: Optional[int] = None,
+    rank: Optional[int] = None,
 ) -> str:
-    """Render logged reservations as an ASCII chip-by-time grid.
+    """Render traced reservations as an ASCII chip-by-time grid.
 
     ``tick_step`` is the column width in engine ticks (default 25 ns).
-    Events without a known start (``start < 0``) are skipped.
+    Reservations without a known start (``start < 0``) are skipped.
     """
     if tick_step < 1:
         raise ValueError("tick_step must be >= 1")
-    usable = [e for e in events if e.start >= 0 and e.end > e.start]
+    usable = _reservations(events, channel, rank)
     header: List[str] = []
     if title:
         header.append(title)
@@ -101,64 +119,15 @@ def _default_chip_names(n_chips: int) -> List[str]:
     return [f"chip {c}" for c in range(n_chips)]
 
 
-def occupancy_from_trace(
+def occupancy_summary(
     events: Iterable[TraceEvent],
     channel: Optional[int] = None,
     rank: Optional[int] = None,
-) -> List[OccupancyEvent]:
-    """Lift ``chip.reserve`` trace events into occupancy events.
-
-    ``channel``/``rank`` filter to one resource domain (``None`` keeps
-    all, which only makes sense for single-channel harness runs).  The
-    returned list feeds :func:`render_occupancy` and
-    :func:`occupancy_summary` unchanged, so a saved JSONL trace can
-    regenerate the Figure-5 grid long after the run.
-    """
-    lifted: List[OccupancyEvent] = []
-    for event in events:
-        if event.type is not EventType.CHIP_RESERVE:
-            continue
-        if channel is not None and event.channel != channel:
-            continue
-        if rank is not None and event.rank != rank:
-            continue
-        lifted.append(OccupancyEvent(
-            kind=event.kind,
-            chip=event.chip,
-            bank=event.bank,
-            start=event.start,
-            end=event.end,
-            label=event.reason,
-        ))
-    return lifted
-
-
-def render_trace_occupancy(
-    events: Iterable[TraceEvent],
-    n_chips: int,
-    title: str = "",
-    tick_step: int = 250,
-    chip_names: Optional[Sequence[str]] = None,
-    channel: Optional[int] = None,
-    rank: Optional[int] = None,
-) -> str:
-    """Render the occupancy grid directly from a recorded trace."""
-    return render_occupancy(
-        occupancy_from_trace(events, channel, rank),
-        n_chips,
-        title=title,
-        tick_step=tick_step,
-        chip_names=chip_names,
-    )
-
-
-def occupancy_summary(events: Iterable[OccupancyEvent]) -> dict:
+) -> dict:
     """Aggregate busy ticks per chip and per mark kind (tests, reports)."""
     per_chip: dict = {}
     per_kind = {"W": 0, "c": 0, "R": 0}
-    for event in events:
-        if event.start < 0 or event.end <= event.start:
-            continue
+    for event in _reservations(events, channel, rank):
         duration = event.end - event.start
         per_chip[event.chip] = per_chip.get(event.chip, 0) + duration
         per_kind[event_mark(event)] += duration

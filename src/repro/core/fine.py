@@ -105,8 +105,10 @@ class FineWriteEngine:
             rank.read_ready_time(chips, decoded.bank),
         )
         end = start + c.timing.array_read_ticks
-        rank.log_label = f"Cmp-{req.req_id}"
-        rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
+        rank.reserve_read(
+            chips, decoded.bank, end, decoded.row, start=start,
+            req_id=req.req_id, reason="compare",
+        )
         req.service_class = ServiceClass.SILENT
         # Zero-activity window: silent write-backs count toward IRLP.
         c._open_window(start, end)
@@ -151,8 +153,10 @@ class FineWriteEngine:
             array_start = xfer_end
             ticks = c._word_write_ticks(req, word)
             chip_end = array_start + ticks
-            rank.log_label = f"Wr-{req.req_id}"
-            rank.reserve_chip_write(chip, bank, chip_end, row, start=array_start)
+            rank.reserve_chip_write(
+                chip, bank, chip_end, row, start=array_start,
+                req_id=req.req_id,
+            )
             c.stats.record_chip_write(chip)
             # Route through _record_activity so concurrent windows (other
             # in-flight writes) see this chip as busy too — IRLP counts
@@ -164,7 +168,7 @@ class FineWriteEngine:
         window.absorb(window_start if window_start is not None else start, data_end)
 
         ecc_end = self.issue_code_update(
-            rank, c.layout.ecc_chip(line), bank, row, earliest=start
+            rank, c.layout.ecc_chip(line), bank, row, start, req.req_id
         )
         pcc_chip = c.layout.pcc_chip(line)
         completion = max(data_end, ecc_end)
@@ -187,7 +191,7 @@ class FineWriteEngine:
 
             def _step_two() -> None:
                 pcc_end = self.issue_code_update(
-                    rank, pcc_chip, bank, row, earliest=c.engine.now
+                    rank, pcc_chip, bank, row, c.engine.now, req.req_id
                 )
                 final = max(completion, pcc_end)
                 window.extend(final)
@@ -198,7 +202,7 @@ class FineWriteEngine:
             c.engine.call_at(data_end, _step_two)
         else:
             pcc_end = self.issue_code_update(
-                rank, pcc_chip, bank, row, earliest=start
+                rank, pcc_chip, bank, row, start, req.req_id
             )
             completion = max(completion, pcc_end)
             window.extend(completion)
@@ -207,9 +211,11 @@ class FineWriteEngine:
         return start, data_end, completion
 
     def issue_code_update(
-        self, rank: RankState, chip: int, bank: int, row: int, earliest: int
+        self, rank: RankState, chip: int, bank: int, row: int, earliest: int,
+        req_id: int,
     ) -> int:
-        """Reserve an ECC/PCC word update on ``chip``; returns its end tick.
+        """Reserve request ``req_id``'s ECC/PCC word update on ``chip``;
+        returns its end tick.
 
         The update is a differential PCM word write (cheaper than a full
         data word, see TimingParams.ecc_update_fraction).  Updates queue
@@ -224,8 +230,10 @@ class FineWriteEngine:
         # ecc_update_ticks is all-inclusive (read-modify-write of the
         # code word), mirroring the data-word write cost model.
         end = xfer_end + c.timing.ecc_update_ticks
-        rank.log_label = "code-update"
-        rank.reserve_chip_write(chip, bank, end, row, start=xfer_end)
+        rank.reserve_chip_write(
+            chip, bank, end, row, start=xfer_end,
+            req_id=req_id, reason="code-update",
+        )
         c.stats.record_chip_write(chip)
         return end
 

@@ -169,8 +169,10 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         chips = c.coarse_chips
         quantum = min(self._quantum_ticks, remaining)
         end = seg_start + quantum
-        rank.log_label = f"Wr-{req.req_id}"
-        rank.reserve_write(chips, decoded.bank, end, decoded.row, start=seg_start)
+        rank.reserve_write(
+            chips, decoded.bank, end, decoded.row, start=seg_start,
+            req_id=req.req_id,
+        )
 
         def at_boundary() -> None:
             left = remaining - quantum

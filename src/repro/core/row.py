@@ -329,8 +329,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 chip, BusDirection.READ, cas_ready
             )
             end = max(end, xfer_end)
-        rank.log_label = f"Rd-{req.req_id}"
-        rank.reserve_read(chips, bank, end, row, start=start)
+        rank.reserve_read(chips, bank, end, row, start=start, req_id=req.req_id)
 
         req.start_service = start
         req.delayed_by_write = True  # it arrived while a write was draining
@@ -416,8 +415,10 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 chips, decoded.bank, decoded.row
             )
             end = start + activation + c.timing.read_io_ticks
-            rank.log_label = f"Vfy-{req.req_id}"
-            rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
+            rank.reserve_read(
+                chips, decoded.bank, end, decoded.row, start=start,
+                req_id=req.req_id, reason="verify",
+            )
             c.engine.call_at(
                 end, self._finish_verify, req, decoded, missing_word
             )

@@ -5,11 +5,12 @@ sets its bit while it is array-writing a word and clears it when done; the
 controller issues a ``Status`` command (2 memory cycles, 0.8 ns) to read
 the flags before every scheduling decision involving overlap.
 
-In this simulator chip occupancy already lives in
-:class:`repro.memory.rank.RankState`; the status register is a thin,
-faithfully-timed *view* of it.  Keeping it as a distinct object preserves
-the paper's hardware boundary: the controller only learns busy/idle
-through polls, and every poll is charged its bus cost.
+In this simulator each chip's current busy-until state lives in
+:class:`repro.memory.rank.RankState` (its history, when wanted, is the
+tracer's ``chip.reserve`` stream); the status register is a thin,
+faithfully-timed *view* of that state.  Keeping it as a distinct object
+preserves the paper's hardware boundary: the controller only learns
+busy/idle through polls, and every poll is charged its bus cost.
 """
 
 from __future__ import annotations

@@ -397,8 +397,10 @@ class MemoryController:
             self.stats.row_buffer_misses += 1
         cas_ready = start + activation + self.timing.cycles(self.timing.tCL)
         _bus_start, bus_end = self.bus.reserve(BusDirection.READ, cas_ready)
-        rank.log_label = f"Rd-{req.req_id}"
-        rank.reserve_read(chips, decoded.bank, bus_end, decoded.row, start=start)
+        rank.reserve_read(
+            chips, decoded.bank, bus_end, decoded.row, start=start,
+            req_id=req.req_id,
+        )
 
         req.start_service = start
         if self.tracer.enabled:
@@ -512,8 +514,10 @@ class MemoryController:
                 self.stats.record_chip_write(chip)
             if self.geometry.has_ecc_chip:
                 self.stats.record_chip_write(self.geometry.ecc_chip_index)
-        rank.log_label = f"Wr-{req.req_id}"
-        rank.reserve_write(chips, decoded.bank, end, decoded.row, start=array_start)
+        rank.reserve_write(
+            chips, decoded.bank, end, decoded.row, start=array_start,
+            req_id=req.req_id,
+        )
         self._finish_write(req, start, end, decoded)
 
     def _finish_write(

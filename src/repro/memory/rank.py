@@ -16,27 +16,18 @@ Concretely, every chip tracks
 * per-bank ``open_row`` — the row currently latched in the row buffer.
 
 Reservation methods return nothing; callers first query ``*_ready_time``
-to decide when an operation may start, then reserve.
+to decide when an operation may start, then reserve.  The rank keeps only
+the current busy-until state: the occupancy *history* (Figure-5 grids,
+the stress tests' chip-exclusivity check) is the tracer's
+``chip.reserve``/``chip.release`` stream, emitted per reserved chip with
+the caller's request id and reason, and only when tracing is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.memory.timing import TimingParams
-
-
-@dataclass(frozen=True)
-class OccupancyEvent:
-    """One logged chip reservation (for timelines and debugging)."""
-
-    kind: str        #: "read" or "write"
-    chip: int
-    bank: int
-    start: int       #: tick the work begins (-1 when unknown)
-    end: int         #: tick the chip frees
-    label: str = ""  #: request tag supplied by the controller
 
 
 class ChipState:
@@ -119,11 +110,6 @@ class RankState:
         #: stamped with this counter and skip the chip scan while the
         #: rank hasn't changed (wake-timer rescans mostly haven't).
         self.version = 0
-        #: When set (e.g. by the timeline example), every reservation is
-        #: appended here as an :class:`OccupancyEvent`.
-        self.occupancy_log: Optional[List[OccupancyEvent]] = None
-        #: Label applied to logged events; controllers set it per request.
-        self.log_label: str = ""
         if tracer is None:
             from repro.telemetry.tracer import NULL_TRACER
 
@@ -132,20 +118,10 @@ class RankState:
         #: ``chip.reserve``/``chip.release`` pair when tracing is on.
         self.tracer = tracer
 
-    def enable_logging(self) -> List[OccupancyEvent]:
-        """Turn on occupancy logging; returns the (live) event list."""
-        self.occupancy_log = []
-        return self.occupancy_log
-
-    def _log(self, kind: str, chip: int, bank: int, start: int, end: int) -> None:
-        if self.occupancy_log is not None:
-            self.occupancy_log.append(
-                OccupancyEvent(kind, chip, bank, start, end, self.log_label)
-            )
-        if self.tracer.enabled:
-            self._trace(kind, chip, bank, start, end)
-
-    def _trace(self, kind: str, chip: int, bank: int, start: int, end: int) -> None:
+    def _trace(
+        self, kind: str, chip: int, bank: int, start: int, end: int,
+        req_id: int, reason: str,
+    ) -> None:
         from repro.telemetry.tracer import EventType, TraceEvent
 
         common = dict(
@@ -153,10 +129,11 @@ class RankState:
             rank=self.rank_index,
             chip=chip,
             bank=bank,
+            req_id=req_id,
             start=start,
             end=end,
             kind=kind,
-            reason=self.log_label,
+            reason=reason,
         )
         self.tracer.emit(
             TraceEvent(
@@ -245,6 +222,9 @@ class RankState:
     # ------------------------------------------------------------------
     # Reservations
     # ------------------------------------------------------------------
+    # ``start`` (-1 when unknown), ``req_id`` and ``reason`` (``verify``,
+    # ``compare``, ``code-update``; empty for plain data work) only feed
+    # the trace; they cost nothing when tracing is off.
     def reserve_read(
         self,
         chips: Iterable[int],
@@ -252,16 +232,18 @@ class RankState:
         end: int,
         row: Optional[int],
         start: int = -1,
+        req_id: int = -1,
+        reason: str = "",
     ) -> None:
         self.version += 1
         states = self.chips
-        if self.occupancy_log is None and not self.tracer.enabled:
+        if not self.tracer.enabled:
             for c in chips:
                 states[c].reserve_read(bank, end, row)
             return
         for c in chips:
             states[c].reserve_read(bank, end, row)
-            self._log("read", c, bank, start, end)
+            self._trace("read", c, bank, start, end, req_id, reason)
 
     def reserve_write(
         self,
@@ -270,16 +252,17 @@ class RankState:
         end: int,
         row: Optional[int],
         start: int = -1,
+        req_id: int = -1,
     ) -> None:
         self.version += 1
         states = self.chips
-        if self.occupancy_log is None and not self.tracer.enabled:
+        if not self.tracer.enabled:
             for c in chips:
                 states[c].reserve_write(bank, end, row)
             return
         for c in chips:
             states[c].reserve_write(bank, end, row)
-            self._log("write", c, bank, start, end)
+            self._trace("write", c, bank, start, end, req_id, "")
 
     def reserve_chip_write(
         self,
@@ -288,12 +271,14 @@ class RankState:
         end: int,
         row: Optional[int],
         start: int = -1,
+        req_id: int = -1,
+        reason: str = "",
     ) -> None:
         """Reserve a single chip's write circuitry (fine-grained write)."""
         self.version += 1
         self.chips[chip].reserve_write(bank, end, row)
-        if self.occupancy_log is not None or self.tracer.enabled:
-            self._log("write", chip, bank, start, end)
+        if self.tracer.enabled:
+            self._trace("write", chip, bank, start, end, req_id, reason)
 
     # ------------------------------------------------------------------
     def earliest_all_free(self, chips: Iterable[int], bank: int) -> int:

@@ -25,7 +25,6 @@ relative ordering is identical whichever is used):
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Number of ticks per nanosecond.  One tick = 0.1 ns.
@@ -108,20 +107,6 @@ class Engine:
         #: Total events fired over the engine's lifetime (always counted —
         #: one integer increment; the telemetry profile reports it).
         self.events_dispatched = 0
-        #: Optional callback-latency profiler (see ``enable_profiling``).
-        self.profiler = None
-
-    def enable_profiling(self, top_n: int = 10):
-        """Attach an :class:`~repro.telemetry.profiler.EngineProfiler`.
-
-        Timestamps every callback, keeping the ``top_n`` slowest.  This
-        roughly doubles per-event dispatch cost, so it is opt-in.
-        Returns the profiler for inspection.
-        """
-        from repro.telemetry.profiler import EngineProfiler
-
-        self.profiler = EngineProfiler(top_n)
-        return self.profiler
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -234,12 +219,7 @@ class Engine:
             self.now = time
             self.events_dispatched += 1
             self._live -= 1
-            if self.profiler is not None:
-                start = perf_counter()
-                callback(*args)
-                self.profiler.record(perf_counter() - start, time, callback)
-            else:
-                callback(*args)
+            callback(*args)
             return True
         return False
 
@@ -272,12 +252,7 @@ class Engine:
                 self.now = time
                 self.events_dispatched += 1
                 self._live -= 1
-                if self.profiler is not None:
-                    start = perf_counter()
-                    callback(*args)
-                    self.profiler.record(perf_counter() - start, time, callback)
-                else:
-                    callback(*args)
+                callback(*args)
                 fired += 1
         finally:
             self._running = False
@@ -295,7 +270,11 @@ class Engine:
         """
         self._stop = True
 
-    def run_until_stop(self, max_ticks: Optional[int] = None) -> int:
+    def run_until_stop(
+        self,
+        max_ticks: Optional[int] = None,
+        on_boundary: Optional[Callable[[int], int]] = None,
+    ) -> int:
         """Drain events until :meth:`request_stop` or the queue empties.
 
         The simulator's hot loop: where :meth:`run` re-checks ``until``/
@@ -309,6 +288,13 @@ class Engine:
         the simulator's safety valve: the event that first advances the
         clock past it still fires, then the drain raises.
 
+        ``on_boundary(now)`` (the time-series sampler's hook) is called
+        after the first event dispatched at a tick at or past the
+        current boundary — initially 0 — and returns the next boundary.
+        Later events at the same tick never call it again, since a
+        returned boundary lies past ``now``.  Without a hook the
+        boundary is infinite: one compare per tick.
+
         The stop latch is consumed on exit: a stop requested before the
         call returns immediately (the poll-first-then-step equivalence
         above), and the next call starts unlatched.
@@ -316,8 +302,8 @@ class Engine:
         fired = 0
         queue = self._queue
         pop = heapq.heappop
-        profiler = self.profiler
         limit = float("inf") if max_ticks is None else max_ticks
+        boundary = float("inf") if on_boundary is None else 0
         self._running = True
         try:
             while queue and not self._stop:
@@ -328,13 +314,10 @@ class Engine:
                 self.now = time
                 self.events_dispatched += 1
                 self._live -= 1
-                if profiler is not None:
-                    start = perf_counter()
-                    callback(*args)
-                    profiler.record(perf_counter() - start, time, callback)
-                else:
-                    callback(*args)
+                callback(*args)
                 fired += 1
+                if time >= boundary:
+                    boundary = on_boundary(time)
                 if time > limit:
                     raise RuntimeError(
                         f"simulation exceeded {max_ticks} ticks"
@@ -349,14 +332,7 @@ class Engine:
                         continue
                     self.events_dispatched += 1
                     self._live -= 1
-                    if profiler is not None:
-                        start = perf_counter()
-                        callback(*args)
-                        profiler.record(
-                            perf_counter() - start, time, callback
-                        )
-                    else:
-                        callback(*args)
+                    callback(*args)
                     fired += 1
         finally:
             self._stop = False

@@ -1,4 +1,4 @@
-"""Simulator-wide telemetry: metrics registry, event tracing, profiling.
+"""Simulator-wide telemetry: metrics registry, event tracing, run profiles.
 
 Three cooperating pieces (docs/TELEMETRY.md has the full guide):
 
@@ -11,9 +11,8 @@ Three cooperating pieces (docs/TELEMETRY.md has the full guide):
   sinks: an in-memory ring buffer, a JSONL file, or both.  The default is
   :data:`NULL_TRACER`, whose ``enabled`` flag keeps the tracing-off cost
   of every emit site to a single attribute check.
-* :class:`EngineProfiler` / :class:`RunProfile` — events dispatched,
-  wall-clock seconds and (opt-in) callback-latency top-N for the event
-  engine, so hot-path regressions show up in benchmark output.
+* :class:`RunProfile` — events dispatched and wall-clock seconds of a
+  run, so hot-path regressions show up in benchmark output.
 * :class:`TimeSeries` / :class:`TimeseriesSampler` — opt-in columnar
   sampling of probes (queue depths, write-engine occupancy, outstanding
   reads, rollbacks, recent IRLP) on a simulated-tick cadence.
@@ -31,7 +30,7 @@ from repro.telemetry.export import (
     timeseries_to_jsonl,
     to_openmetrics,
 )
-from repro.telemetry.profiler import EngineProfiler, RunProfile, WallClock
+from repro.telemetry.profiler import RunProfile, WallClock
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -83,7 +82,6 @@ __all__ = [
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
-    "EngineProfiler",
     "RunProfile",
     "WallClock",
 ]

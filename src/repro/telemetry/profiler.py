@@ -1,71 +1,17 @@
-"""Engine profiling: events dispatched, wall-clock, callback-latency top-N.
+"""Run profiles: events dispatched and wall-clock seconds per run.
 
-Two costs, two mechanisms:
-
-* The engine always counts dispatched events (one integer increment per
-  event — free).  :class:`RunProfile` pairs that with the wall-clock time
-  the driver measured around the run and derives events/second, the
-  number benchmarks print so hot-path regressions are visible in the
-  ``BENCH_*`` trajectories.
-* :class:`EngineProfiler` is opt-in (``Engine.enable_profiling``): it
-  timestamps every callback with ``perf_counter`` and keeps the top-N
-  slowest, attributing each to the callback's qualified name.  That
-  roughly doubles dispatch overhead, so it is never on by default.
+The engine always counts dispatched events (one integer increment per
+event — free).  :class:`RunProfile` pairs that with the wall-clock time
+the simulator measured around the run and derives events/second, the number
+benchmarks print so hot-path regressions are visible.  Where the wall
+time went, layer by layer, is perfbench's ``--trace 1`` split.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class CallbackSample:
-    """One measured callback dispatch."""
-
-    seconds: float   #: wall-clock duration of the callback
-    tick: int        #: engine time the callback fired at
-    name: str        #: callback's __qualname__ (or repr fallback)
-
-
-class EngineProfiler:
-    """Keeps the top-N slowest callbacks seen by the engine."""
-
-    def __init__(self, top_n: int = 10):
-        if top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        self.top_n = top_n
-        #: Min-heap of (seconds, seq, sample); seq breaks duration ties.
-        self._heap: List[Tuple[float, int, CallbackSample]] = []
-        self._seq = 0
-        self.samples_recorded = 0
-        self.total_callback_seconds = 0.0
-
-    def record(self, seconds: float, tick: int, callback: Callable) -> None:
-        self.samples_recorded += 1
-        self.total_callback_seconds += seconds
-        self._seq += 1
-        if len(self._heap) < self.top_n:
-            name = getattr(callback, "__qualname__", None) or repr(callback)
-            heapq.heappush(
-                self._heap,
-                (seconds, self._seq, CallbackSample(seconds, tick, name)),
-            )
-        elif seconds > self._heap[0][0]:
-            name = getattr(callback, "__qualname__", None) or repr(callback)
-            heapq.heapreplace(
-                self._heap,
-                (seconds, self._seq, CallbackSample(seconds, tick, name)),
-            )
-
-    def top(self) -> List[CallbackSample]:
-        """Slowest callbacks, slowest first."""
-        return [
-            sample for _sec, _seq, sample
-            in sorted(self._heap, key=lambda item: -item[0])
-        ]
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -74,7 +20,6 @@ class RunProfile:
 
     events_dispatched: int = 0
     wall_seconds: float = 0.0
-    slowest_callbacks: List[CallbackSample] = field(default_factory=list)
 
     @property
     def events_per_second(self) -> float:
@@ -84,25 +29,15 @@ class RunProfile:
 
     def summary(self) -> str:
         """One-line human summary for benchmark output."""
-        line = (
+        return (
             f"engine: {self.events_dispatched} events in "
             f"{self.wall_seconds:.3f} s ({self.events_per_second:,.0f} events/s)"
         )
-        if self.slowest_callbacks:
-            worst = self.slowest_callbacks[0]
-            line += (
-                f"; slowest callback {worst.name} "
-                f"{worst.seconds * 1e6:.1f} us @ tick {worst.tick}"
-            )
-        return line
 
     def merge(self, other: "RunProfile") -> None:
         """Accumulate another run's profile (benchmark aggregation)."""
         self.events_dispatched += other.events_dispatched
         self.wall_seconds += other.wall_seconds
-        combined = self.slowest_callbacks + other.slowest_callbacks
-        combined.sort(key=lambda sample: -sample.seconds)
-        self.slowest_callbacks = combined[:10]
 
 
 class WallClock:

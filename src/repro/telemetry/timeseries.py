@@ -10,17 +10,18 @@ Two pieces:
   result files and the cross-worker merge use.
 * :class:`TimeseriesSampler` — a set of named probes (zero-argument
   callables) sampled together whenever simulated time crosses a cadence
-  boundary.  The simulator run loop calls :meth:`maybe_sample` after each
-  engine step; the disabled path never constructs a sampler at all, so
-  golden traces and perf fingerprints are untouched by default.
+  boundary.  The engine's drain loop calls :meth:`maybe_sample` at the
+  first event of a tick at or past the boundary it last returned; the
+  disabled path never constructs a sampler at all, so golden traces and
+  perf fingerprints are untouched by default.
 
-Sampling happens *outside* the event engine — no events are scheduled, no
-engine state is read beyond ``engine.now`` — so enabling it cannot change
-``events_dispatched``/``sim_ticks`` fingerprints, only wall-clock time.
-Event time can jump past several boundaries at once (the engine is
-discrete-event, not cycle-stepped); the sampler then records one sample at
-the current time rather than backfilling, keeping the cost bounded by the
-number of engine steps.
+Sampling schedules no events and reads no engine state beyond
+``engine.now``, so enabling it cannot change ``events_dispatched``/
+``sim_ticks`` fingerprints, only wall-clock time.  Event time can jump
+past several boundaries at once (the engine is discrete-event, not
+cycle-stepped); the sampler then records one sample at the current time
+rather than backfilling, so a run takes at most one sample per cadence
+interval (``sim_ticks // cadence + 1`` in all).
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ class TimeseriesSampler:
 
     Probes are registered once during wiring (insertion order defines the
     column order, so identically-wired runs produce identical column
-    layouts) and frozen at the first sample.  The run loop drives
-    :meth:`maybe_sample` with the current engine time; the common case —
-    no boundary crossed — is a single integer compare.
+    layouts) and frozen at the first sample.  The engine's drain loop
+    drives :meth:`maybe_sample` with the current engine time and keeps
+    the boundary it returns in a local; the common case — no boundary
+    crossed — is a single integer compare there.
     """
 
     __slots__ = (
@@ -205,10 +207,8 @@ class TimeseriesSampler:
         self._probe_names: List[str] = []
         self._probe_fns: List[Probe] = []
         self._series: "TimeSeries | None" = None
-        # Next tick at (or past) which a sample is due.  Public so the
-        # run loop can hoist the boundary compare inline — a method
-        # call per engine step is measurable; an integer compare is
-        # not.  Starts at 0 so the first check captures initial state.
+        # Next tick at (or past) which a sample is due.  Starts at 0 so
+        # the first check captures initial state.
         self.next_boundary = 0
 
     def add_probe(self, name: str, fn: Probe) -> None:
@@ -231,18 +231,20 @@ class TimeseriesSampler:
             )
         return self._series
 
-    def maybe_sample(self, now: int) -> bool:
+    def maybe_sample(self, now: int) -> int:
         """Sample if ``now`` reached the next cadence boundary.
 
         Records at most one sample per call no matter how many boundaries
         the event jump skipped; the next boundary is realigned to the
-        cadence grid past ``now``.
+        cadence grid past ``now``.  Returns the next boundary (the
+        :meth:`~repro.sim.engine.Engine.run_until_stop` hook contract).
         """
-        if now < self.next_boundary:
-            return False
-        self.sample(now)
-        self.next_boundary = (now // self.cadence_ticks + 1) * self.cadence_ticks
-        return True
+        if now >= self.next_boundary:
+            self.sample(now)
+            self.next_boundary = (
+                now // self.cadence_ticks + 1
+            ) * self.cadence_ticks
+        return self.next_boundary
 
     def sample(self, now: int) -> None:
         """Unconditionally record one sample of every probe."""

@@ -7,17 +7,26 @@ from repro.analysis.timeline import (
     occupancy_summary,
     render_occupancy,
 )
-from repro.memory.rank import OccupancyEvent
+from repro.telemetry import EventType, TraceEvent
 
 
-def _event(kind="write", chip=0, start=0, end=100, label=""):
-    return OccupancyEvent(kind, chip, 0, start, end, label)
+def _event(kind="write", chip=0, start=0, end=100, reason="", channel=0,
+           rank=0):
+    return TraceEvent(
+        type=EventType.CHIP_RESERVE, tick=start, channel=channel, rank=rank,
+        chip=chip, bank=0, start=start, end=end, kind=kind, reason=reason,
+    )
+
+
+def _chip_row(text, name):
+    return next(line for line in text.splitlines() if line.startswith(name))
 
 
 def test_event_marks():
     assert event_mark(_event(kind="write")) == "W"
     assert event_mark(_event(kind="read")) == "R"
-    assert event_mark(_event(kind="write", label="code-update")) == "c"
+    assert event_mark(_event(kind="read", reason="verify")) == "R"
+    assert event_mark(_event(kind="write", reason="code-update")) == "c"
 
 
 def test_render_empty():
@@ -80,64 +89,70 @@ def test_occupancy_summary():
     events = [
         _event(kind="write", chip=1, start=0, end=100),
         _event(kind="read", chip=1, start=100, end=150),
-        _event(kind="write", chip=2, start=0, end=50, label="code-update"),
+        _event(kind="write", chip=2, start=0, end=50, reason="code-update"),
+        # Not a reservation: the matching release is ignored.
+        TraceEvent(type=EventType.CHIP_RELEASE, tick=100, chip=1, start=0,
+                   end=100, kind="write"),
     ]
     summary = occupancy_summary(events)
     assert summary["per_chip"] == {1: 150, 2: 50}
     assert summary["per_kind"] == {"W": 100, "R": 50, "c": 50}
 
 
-def test_renderer_consumes_real_controller_log():
+def test_render_filters_by_channel_and_rank():
+    events = [
+        _event(kind="write", chip=1, start=0, end=250, reason="code-update"),
+        _event(kind="read", chip=3, start=0, end=250, channel=1),
+        _event(kind="write", chip=5, start=0, end=250, rank=1),
+        TraceEvent(type=EventType.REQUEST_ISSUE, tick=5, channel=0),
+    ]
+    text = render_occupancy(events, n_chips=10, channel=0, rank=0)
+    assert _chip_row(text, "chip 1").endswith("|c|")
+    assert _chip_row(text, "chip 3").endswith("|.|")
+    assert _chip_row(text, "chip 5").endswith("|.|")
+    everything = render_occupancy(events, n_chips=10)
+    assert _chip_row(everything, "chip 3").endswith("|R|")
+    assert _chip_row(everything, "chip 5").endswith("|W|")
+    assert occupancy_summary(events, channel=1)["per_chip"] == {3: 250}
+    assert "no occupancy" in render_occupancy(events, n_chips=10, rank=2)
+
+
+def _traced_controller_write():
+    """One write through a real rwow-rde controller with a recording tracer."""
     from repro.core.systems import make_system
     from repro.memory.memsys import make_controller
     from repro.memory.request import make_write
     from repro.sim.engine import Engine
+    from repro.telemetry import ListSink, Telemetry
 
     engine = Engine()
-    controller = make_controller(engine, make_system("rwow-rde"))
-    log = controller.ranks[0].enable_logging()
+    sink = ListSink()
+    controller = make_controller(
+        engine, make_system("rwow-rde"), telemetry=Telemetry.recording([sink])
+    )
     controller.submit(make_write(1, 0, 0b11))
     engine.run(max_events=10_000)
-    text = render_occupancy(log, controller.geometry.chips_per_rank)
-    assert "W" in text and "c" in text
+    return controller, sink.events
 
 
-def test_occupancy_from_trace_filters_and_lifts():
-    from repro.analysis.timeline import occupancy_from_trace
-    from repro.telemetry import EventType, TraceEvent
-
-    events = [
-        TraceEvent(type=EventType.CHIP_RESERVE, tick=0, channel=0, rank=0,
-                   chip=1, bank=2, start=0, end=100, kind="write",
-                   reason="code-update"),
-        TraceEvent(type=EventType.CHIP_RESERVE, tick=0, channel=1, rank=0,
-                   chip=3, start=0, end=50, kind="read"),
-        TraceEvent(type=EventType.REQUEST_ISSUE, tick=5, channel=0),
-    ]
-    lifted = occupancy_from_trace(events, channel=0)
-    assert len(lifted) == 1
-    assert lifted[0].chip == 1
-    assert lifted[0].label == "code-update"
-    assert event_mark(lifted[0]) == "c"
-    assert len(occupancy_from_trace(events)) == 2
+def test_renderer_consumes_real_controller_log():
+    """A real controller's trace renders W and c cells inside the grid."""
+    controller, events = _traced_controller_write()
+    text = render_occupancy(
+        events, controller.geometry.chips_per_rank, channel=0, rank=0
+    )
+    rows = [line for line in text.splitlines() if "|" in line]
+    assert any("W" in row.split("|")[1] for row in rows)
+    # Rotation moves the code words between chips line by line, so look
+    # for the code-update mark in any row's cells (the header says "c=").
+    assert any("c" in row.split("|")[1] for row in rows)
 
 
 def test_grid_renders_from_recorded_trace():
-    from repro.analysis.timeline import render_trace_occupancy
-    from repro.core.systems import make_system
-    from repro.memory.memsys import make_controller
-    from repro.memory.request import make_write
-    from repro.sim.engine import Engine
-    from repro.telemetry import Telemetry
-
-    engine = Engine()
-    telemetry = Telemetry.recording()
-    controller = make_controller(
-        engine, make_system("rwow-rde"), telemetry=telemetry
-    )
-    controller.submit(make_write(1, 0, 0b11))
-    engine.run(max_events=10_000)
-    text = render_trace_occupancy(
-        telemetry.tracer.events(), controller.geometry.chips_per_rank
-    )
+    """A real controller's trace: chip rows, code updates and req ids."""
+    controller, events = _traced_controller_write()
+    text = render_occupancy(events, controller.geometry.chips_per_rank)
     assert "W" in text and "c" in text
+    reserves = [e for e in events if e.type is EventType.CHIP_RESERVE]
+    assert {e.reason for e in reserves} == {"", "code-update"}
+    assert {e.req_id for e in reserves} == {1}

@@ -2,10 +2,12 @@
 
 These drive arbitrary request mixes through every controller variant and
 check properties that must hold regardless of scheduling decisions:
-everything completes, time never runs backwards, the occupancy log shows
-no two array writes overlapping on one chip, and runs are deterministic.
+everything completes, time never runs backwards, the traced chip
+reservations show no two array writes overlapping on one chip of any
+rank, and runs are deterministic.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,16 +17,28 @@ from repro.core.systems import SYSTEM_NAMES, make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine
+from repro.telemetry import EventType, ListSink, Telemetry
 
 ALL_SYSTEMS = SYSTEM_NAMES + ["write-pausing"]
 
 
-def _drive(system_name, operations, seed=1, log=False):
-    """Run (kind, line, mask, gap) operations through one controller."""
+def _drive(system_name, operations, seed=1, trace=False, ranks=1):
+    """Run (kind, line, mask, gap) operations through one controller.
+
+    With ``trace`` the third return value is the recorded trace events;
+    ``ranks`` sets the ranks per channel.
+    """
     engine = Engine()
     config = make_system(system_name)
-    controller = make_controller(engine, config, channel_id=0, seed=seed)
-    events = controller.ranks[0].enable_logging() if log else None
+    if ranks != 1:
+        config = make_system(system_name, geometry=dataclasses.replace(
+            config.geometry, ranks_per_channel=ranks
+        ))
+    sink = ListSink() if trace else None
+    controller = make_controller(
+        engine, config, channel_id=0, seed=seed,
+        telemetry=Telemetry.recording([sink]) if trace else None,
+    )
     stride = 64 * config.geometry.n_channels
     requests = []
     req_id = 0
@@ -40,7 +54,7 @@ def _drive(system_name, operations, seed=1, log=False):
             requests.append(request)
         engine.run(until=engine.now + gap)
     engine.run(max_events=2_000_000)
-    return controller, requests, events
+    return controller, requests, sink.events if trace else None
 
 
 def _random_operations(rng, count):
@@ -77,22 +91,46 @@ def test_time_monotonicity(system_name):
             assert request.completion >= request.start_service
 
 
-@pytest.mark.parametrize("system_name", ALL_SYSTEMS)
-def test_no_overlapping_writes_on_one_chip(system_name):
-    """The chip-exclusivity premise: array writes on a chip never overlap."""
+def _assert_chip_writes_exclusive(system_name, ranks):
+    """The chip-exclusivity premise, checked on every rank's chips."""
     rng = random.Random(3)
     ops = _random_operations(rng, 220)
-    _controller, _requests, events = _drive(system_name, ops, log=True)
+    controller, requests, events = _drive(
+        system_name, ops, trace=True, ranks=ranks
+    )
     writes_by_chip = {}
     for event in events:
-        if event.kind == "write" and event.start >= 0:
-            writes_by_chip.setdefault(event.chip, []).append(
+        if (
+            event.type is EventType.CHIP_RESERVE
+            and event.kind == "write"
+            and event.start >= 0
+        ):
+            writes_by_chip.setdefault((event.rank, event.chip), []).append(
                 (event.start, event.end)
             )
+    assert {rank for rank, _chip in writes_by_chip} == set(
+        range(len(controller.ranks))
+    ), "the random load should write to every rank"
     for chip, intervals in writes_by_chip.items():
         intervals.sort()
         for (s1, e1), (s2, _e2) in zip(intervals, intervals[1:]):
-            assert s2 >= e1, f"chip {chip}: write overlap {s1, e1} vs {s2}"
+            assert s2 >= e1, f"(rank, chip) {chip}: write overlap {s1, e1} vs {s2}"
+    # Every reservation is attributed to a request the test submitted.
+    submitted = {r.req_id for r in requests}
+    assert {
+        e.req_id for e in events if e.type is EventType.CHIP_RESERVE
+    } <= submitted
+
+
+@pytest.mark.parametrize("system_name", ALL_SYSTEMS)
+def test_no_overlapping_writes_on_one_chip(system_name):
+    """The chip-exclusivity premise: array writes on a chip never overlap."""
+    _assert_chip_writes_exclusive(system_name, ranks=1)
+
+
+@pytest.mark.parametrize("system_name", ALL_SYSTEMS)
+def test_no_overlapping_writes_on_one_chip_of_two_ranks(system_name):
+    _assert_chip_writes_exclusive(system_name, ranks=2)
 
 
 @pytest.mark.parametrize("system_name", ["baseline", "rwow-rde"])

@@ -189,3 +189,37 @@ def test_run_until_stop_matches_stepped_loop_event_count():
     assert batched_log == stepped_log
     assert batched.events_dispatched == stepped.events_dispatched
     assert batched.now == stepped.now
+
+
+def test_run_until_stop_boundary_hook_fires_once_per_crossing_tick():
+    """The hook sees the first event of each tick at or past the boundary
+    it last returned, exactly as a per-event check after stepping would."""
+
+    def build(engine, log):
+        for t in (0, 0, 3, 5, 5, 6, 12, 12, 13, 20):
+            engine.call_at(t, log.append, t)
+        handle = engine.schedule_at(15, lambda: log.append("dead"))
+        handle.cancel()
+
+    def hook_for(calls, cadence=5):
+        def on_boundary(now):
+            calls.append(now)
+            return (now // cadence + 1) * cadence
+        return on_boundary
+
+    stepped_log, stepped_calls = [], []
+    stepped = Engine()
+    build(stepped, stepped_log)
+    hook = hook_for(stepped_calls)
+    boundary = 0
+    while stepped.step():
+        if stepped.now >= boundary:
+            boundary = hook(stepped.now)
+
+    batched_log, batched_calls = [], []
+    batched = Engine()
+    build(batched, batched_log)
+    batched.run_until_stop(on_boundary=hook_for(batched_calls))
+    assert batched_calls == stepped_calls == [0, 5, 12, 20]
+    assert batched_log == stepped_log
+    assert batched.events_dispatched == stepped.events_dispatched == 10

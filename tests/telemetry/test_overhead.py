@@ -7,6 +7,7 @@ bounds the always-on metrics cost with a deliberately generous factor so
 it stays robust on loaded CI machines.
 """
 
+import gc
 import time
 
 from repro.core.systems import make_system
@@ -40,8 +41,11 @@ def test_disabled_tracer_never_receives_events():
 
 def test_disabled_telemetry_overhead_is_bounded():
     system = make_system("rwow-rde")
-    # Warm-up run so imports/JIT-free caches don't skew either side.
+    # Warm-up run so imports/JIT-free caches don't skew either side, and
+    # a full collection so cyclic garbage earlier tests left behind is
+    # not freed (and charged) inside one of the timed runs.
     simulate(system, "canneal", PARAMS)
+    gc.collect()
 
     start = time.perf_counter()
     simulate(system, "canneal", PARAMS)

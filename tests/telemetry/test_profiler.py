@@ -1,39 +1,8 @@
-"""Unit tests for the engine profiler and run profiles."""
+"""Unit tests for run profiles and the wall clock."""
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.telemetry import EngineProfiler, RunProfile, WallClock
-
-
-def test_profiler_keeps_top_n_slowest():
-    profiler = EngineProfiler(top_n=2)
-
-    def cb():
-        pass
-
-    for seconds in (0.001, 0.005, 0.002, 0.010):
-        profiler.record(seconds, tick=int(seconds * 1e6), callback=cb)
-    top = profiler.top()
-    assert [s.seconds for s in top] == [0.010, 0.005]
-    assert profiler.samples_recorded == 4
-    assert profiler.total_callback_seconds == pytest.approx(0.018)
-    assert all("cb" in s.name for s in top)
-    with pytest.raises(ValueError):
-        EngineProfiler(top_n=0)
-
-
-def test_engine_counts_and_profiles_dispatches():
-    engine = Engine()
-    engine.enable_profiling(top_n=3)
-    fired = []
-    for delay in (5, 1, 9):
-        engine.schedule_after(delay, lambda d=delay: fired.append(d))
-    engine.run()
-    assert fired == [1, 5, 9]
-    assert engine.events_dispatched == 3
-    assert engine.profiler.samples_recorded == 3
-    assert len(engine.profiler.top()) == 3
+from repro.telemetry import RunProfile, WallClock
 
 
 def test_run_profile_summary_and_merge():
